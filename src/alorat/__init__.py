@@ -4,7 +4,7 @@ attention spectrum, localization via closed-form input-to-output
 contribution weights, plus evaluation metrics, synthetic data, and a
 numerical verifier for the unrolled algebraic forms of the encoder."""
 
-from .linalg import SvdResult, svd, softmax_rows, geman_loss_grad
+from .linalg import SvdResult, svd, softmax_rows
 from .embedding import (
     PairSelection,
     EmbeddingKernels,
@@ -18,7 +18,6 @@ from .attention import (
     AttentionTrace,
     attention_scores,
     layer_forward,
-    layer_alora_loss,
 )
 from .model import (
     ModelParams,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from . import linalg
 from .autograd import Tensor
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "init_layer_params",
     "attention_scores",
     "layer_forward",
-    "layer_alora_loss",
     "effective_value_map",
     "per_head_value_maps",
 ]
@@ -181,9 +179,3 @@ def layer_forward(
         mask,
     )
     return out.data, s_avg.data
-
-
-def layer_alora_loss(s_avg, r: int) -> tuple[float, np.ndarray]:
-    """Geman low-rank penalty of a head-averaged attention matrix and its
-    gradient with respect to that matrix."""
-    return linalg.geman_loss_grad(s_avg, r)

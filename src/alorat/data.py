@@ -116,11 +116,17 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
             if label_idx is not None:
-                labels.append(int(parsed.pop(label_idx)))
+                label = parsed.pop(label_idx)
+                if not np.isfinite(label):
+                    raise DataError(f"{path}:{line_no}: non-finite label {label}")
+                labels.append(int(label))
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite cell")
     return TimeSeriesFrame(
         values=values,
         names=tuple(names),

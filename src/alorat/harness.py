@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,54 +32,12 @@ class ConfigError(ValueError):
     """Bad, missing, or unknown configuration."""
 
 
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _as_bool(raw: str, key: str) -> bool:
-    try:
-        return _BOOL_VALUES[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
-
-
-def _as_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _as_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-_CONVERTERS = {"str": lambda raw, key: raw, "int": _as_int, "float": _as_float, "bool": _as_bool}
-
 # key -> (type, default); default None (without a type suffix "!") means optional
 _SCHEMAS = {
     "train": {
         "data": ("str", "!required"),
         "out": ("str", "!required"),
-        "seed": ("int", 0),
-        "t_window": ("int", 20),
-        "d_model": ("int", 64),
-        "heads": ("int", 8),
-        "layers": ("int", 3),
-        "lambda_reg": ("float", 10.0),
-        "learning_rate": ("float", 1e-4),
-        "max_epochs": ("int", 50),
-        "patience": ("int", 5),
-        "k_pairs": ("int", 512),
-        "r": ("int", 1),
-        "batch_size": ("int", 64),
-        "skip": ("bool", True),
-        "activation": ("str", "identity"),
-        "mask": ("str", "none"),
-        "pair_method": ("str", "spearman"),
-        "kernel_size": ("int", 3),
+        **{f.name: (f.type, f.default) for f in dataclasses.fields(TrainConfig)},
         "label_column": ("str", "label"),
         "downsample": ("int", 1),
     },
@@ -156,7 +115,7 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
         if key in overrides and overrides[key] is not None:
             resolved[key] = overrides[key]
         elif key in raw:
-            resolved[key] = _CONVERTERS[kind](raw[key], key)
+            resolved[key] = model_mod.parse_value(kind, raw[key], key, ConfigError)
         elif default == "!required":
             raise ConfigError(f"[{command}] is missing required key {key!r}")
         else:
@@ -187,25 +146,7 @@ def _require_file(path: str) -> str:
 
 
 def cmd_train(resolved: dict) -> int:
-    cfg = TrainConfig(
-        t_window=resolved["t_window"],
-        d_model=resolved["d_model"],
-        heads=resolved["heads"],
-        layers=resolved["layers"],
-        lambda_reg=resolved["lambda_reg"],
-        learning_rate=resolved["learning_rate"],
-        max_epochs=resolved["max_epochs"],
-        patience=resolved["patience"],
-        k_pairs=resolved["k_pairs"],
-        r=resolved["r"],
-        seed=resolved["seed"],
-        skip=resolved["skip"],
-        activation=resolved["activation"],
-        mask=resolved["mask"],
-        batch_size=resolved["batch_size"],
-        pair_method=resolved["pair_method"],
-        kernel_size=resolved["kernel_size"],
-    )
+    cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
     out = _prepare_out(resolved, "train")
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     if resolved["downsample"] > 1:

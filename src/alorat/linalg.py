@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SvdResult", "svd", "softmax_rows", "geman_loss_grad"]
+__all__ = ["SvdResult", "svd", "softmax_rows", "geman_batch"]
 
 
 @dataclass(frozen=True)
@@ -58,47 +58,23 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=v)
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values only, descending."""
-    return np.linalg.svd(_as_matrix(m), compute_uv=False)
+def _rank_tol(sigma: np.ndarray, dim: int):
+    """Per-matrix cutoff below which singular values count as exact zeros."""
+    return dim * np.finfo(np.float64).eps * np.max(sigma, axis=-1, keepdims=True)
 
 
-def geman_loss_grad(s, r: int) -> tuple[float, np.ndarray]:
-    """Truncated Geman penalty ``sum_{i>r} sigma_i / (sigma_i + 1)`` on a
-    square matrix, sparing the ``r`` leading singular values, together with
-    its gradient ``sum_{i>r} u_i v_i^T / (sigma_i + 1)^2``.
+def geman_batch(s: np.ndarray, r: int) -> tuple[float, np.ndarray]:
+    """Truncated Geman penalty ``sum_{i>r} sigma_i / (sigma_i + 1)``, summed
+    over a stack of square matrices with shape ``(..., T, T)`` and sparing
+    each matrix's ``r`` leading singular values, together with the
+    per-matrix gradients ``sum_{i>r} u_i v_i^T / (sigma_i + 1)^2``.
 
     At repeated singular values the returned gradient is one valid
     subgradient (ties are measure-zero under training noise).  Numerically
     zero singular values contribute no gradient, so the gradient vanishes
-    wherever the matrix already has rank <= r.  ``r >= T`` gives loss 0 and
-    a zero gradient.
+    wherever a matrix already has rank <= r.  ``r >= T`` gives loss 0 and
+    zero gradients.  A single matrix ``m`` is the stack ``m[None]``.
     """
-    a = _as_matrix(s)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    k = a.shape[0]
-    if r >= k:
-        return 0.0, np.zeros_like(a)
-    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
-    tail = sigma[r:]
-    loss = float(np.sum(tail / (tail + 1.0)))
-    weights = np.where(tail > _rank_tol(sigma, k), 1.0 / (tail + 1.0) ** 2, 0.0)
-    grad = (u[:, r:] * weights) @ vh[r:, :]
-    return loss, grad
-
-
-def _rank_tol(sigma: np.ndarray, dim: int):
-    """Cutoff below which singular values count as exact zeros."""
-    top = np.max(sigma, axis=-1, keepdims=True) if sigma.ndim > 1 else np.max(sigma)
-    return dim * np.finfo(np.float64).eps * top
-
-
-def geman_batch(s: np.ndarray, r: int) -> tuple[float, np.ndarray]:
-    """Summed Geman penalty and per-matrix gradients for a stack of square
-    matrices with shape ``(..., T, T)``."""
     if r < 0:
         raise ValueError("r must be >= 0")
     k = s.shape[-1]

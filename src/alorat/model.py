@@ -9,8 +9,8 @@ calibrated cutoff h1; the alarm threshold h2 turns scores into labels.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,14 +38,10 @@ __all__ = [
     "detect",
     "save_checkpoint",
     "load_checkpoint",
+    "parse_value",
 ]
 
-CHECKPOINT_MAGIC = b"ALORA1"
-CHECKPOINT_VERSION = 1
-
-_ACTIVATION_CODES = {"identity": 0, "gelu": 1}
-_MASK_CODES = {"none": 0, "causal": 1}
-_PAIR_METHOD_CODES = {"spearman": 0, "pearson": 1}
+CHECKPOINT_MAGIC = "ALORA2"
 
 
 class NumericError(RuntimeError):
@@ -81,13 +77,13 @@ class TrainConfig:
             raise ValueError("r must be >= 0")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.heads < 1 or self.d_model % self.heads != 0:
+        if self.heads < 1 or self.d_model < 1 or self.d_model % self.heads != 0:
             raise ValueError(f"heads {self.heads} must divide d_model {self.d_model}")
-        if self.activation not in _ACTIVATION_CODES:
+        if self.activation not in attention.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.mask not in _MASK_CODES:
+        if self.mask not in ("none", "causal"):
             raise ValueError(f"unknown mask {self.mask!r}")
-        if self.pair_method not in _PAIR_METHOD_CODES:
+        if self.pair_method not in ("spearman", "pearson"):
             raise ValueError(f"unknown pair method {self.pair_method!r}")
         if self.kernel_size < 1 or self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd and >= 1")
@@ -96,6 +92,23 @@ class TrainConfig:
 
     def mask_matrix(self) -> np.ndarray | None:
         return linalg.causal_mask(self.t_window) if self.mask == "causal" else None
+
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {"str": str, "int": int, "float": float,
+            "bool": lambda raw: _BOOL_WORDS[raw.strip().lower()]}
+_EXPECTED = {"str": "a string", "int": "an integer", "float": "a number", "bool": "a boolean"}
+
+
+def parse_value(kind: str, raw: str, key: str, error: type[ValueError] = ValueError):
+    """The one text-to-value conversion of config files and checkpoint
+    headers.  ``kind`` is a :class:`TrainConfig` annotation (str, int, float
+    or bool); text that does not parse raises ``error``."""
+    parse = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise error(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
 
 @dataclass
@@ -109,6 +122,9 @@ class Thresholds:
     def __post_init__(self):
         if self.h1 is not None and self.h1 < 0:
             raise ValueError("h1 must be >= 0")
+
+
+_LAYER_ARRAYS = ("w_q", "w_k", "w_v", "w_proj")
 
 
 @dataclass
@@ -132,24 +148,32 @@ class ModelParams:
     def d_in(self) -> int:
         return self.kernels.n_series
 
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every parameter array with its group name, in the one order that
+        copies, training tensors and checkpoints share: embedding kernels,
+        then w_q, w_k, w_v, w_proj of each layer, then w_out."""
+        out = [("kernels", self.kernels.weights)]
+        for p in self.layers:
+            out += [(name, getattr(p, name)) for name in _LAYER_ARRAYS]
+        return out + [("w_out", self.w_out)]
+
+    @classmethod
+    def from_arrays(cls, n_series: int, pairs, arrays: list[np.ndarray]) -> "ModelParams":
+        """Inverse of :meth:`arrays` from the bare arrays in that order;
+        layer ``l`` gets ``layer_index=l``."""
+        per = len(_LAYER_ARRAYS)
+        layers = [
+            attention.AttentionLayerParams(
+                **dict(zip(_LAYER_ARRAYS, arrays[1 + l * per : 1 + (l + 1) * per])), layer_index=l
+            )
+            for l in range((len(arrays) - 2) // per)
+        ]
+        kernels = embedding.EmbeddingKernels(n_series=n_series, pairs=pairs, weights=arrays[0])
+        return cls(kernels=kernels, layers=layers, w_out=arrays[-1])
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            kernels=embedding.EmbeddingKernels(
-                n_series=self.kernels.n_series,
-                pairs=self.kernels.pairs.copy(),
-                weights=self.kernels.weights.copy(),
-            ),
-            layers=[
-                attention.AttentionLayerParams(
-                    w_q=p.w_q.copy(),
-                    w_k=p.w_k.copy(),
-                    w_v=p.w_v.copy(),
-                    w_proj=p.w_proj.copy(),
-                    layer_index=p.layer_index,
-                )
-                for p in self.layers
-            ],
-            w_out=self.w_out.copy(),
+        return ModelParams.from_arrays(
+            self.d_in, self.kernels.pairs.copy(), [a.copy() for _, a in self.arrays()]
         )
 
 
@@ -194,53 +218,32 @@ class TrainResult:
 # -- forward ---------------------------------------------------------------------
 
 
-PARAM_GROUPS = ("kernels", "w_q", "w_k", "w_v", "w_proj", "w_out")
+PARAM_GROUPS = ("kernels", *_LAYER_ARRAYS, "w_out")
 
 
 class _ParamTensors:
-    """Parameter arrays wrapped as autodiff leaves; `trainable` names the
-    parameter groups that receive gradients."""
+    """Parameter arrays wrapped as autodiff leaves in
+    :meth:`ModelParams.arrays` order; `trainable` names the parameter groups
+    that receive gradients."""
 
     def __init__(self, params: ModelParams, requires_grad: bool, trainable=None):
         groups = set(PARAM_GROUPS if trainable is None else trainable)
         unknown = groups - set(PARAM_GROUPS)
         if unknown:
             raise ValueError(f"unknown parameter groups: {sorted(unknown)}")
-
-        def want(name):
-            return requires_grad and name in groups
-
-        self.kernel_weights = Tensor(params.kernels.weights, want("kernels"))
         self.pairs = params.kernels.pairs
-        self.layers = [
-            tuple(
-                Tensor(getattr(p, name), want(name))
-                for name in ("w_q", "w_k", "w_v", "w_proj")
-            )
-            for p in params.layers
-        ]
-        self.w_out = Tensor(params.w_out, want("w_out"))
-
-    def all(self) -> list[Tensor]:
-        out = [self.kernel_weights]
-        for layer in self.layers:
-            out.extend(layer)
-        out.append(self.w_out)
-        return out
+        self.all = [Tensor(a, requires_grad and name in groups) for name, a in params.arrays()]
+        per = len(_LAYER_ARRAYS)
+        self.kernel_weights, self.w_out = self.all[0], self.all[-1]
+        self.layers = [tuple(self.all[i : i + per]) for i in range(1, len(self.all) - 1, per)]
 
     def trainable(self) -> list[Tensor]:
-        return [t for t in self.all() if t.requires_grad]
+        return [t for t in self.all if t.requires_grad]
 
     def to_params(self, template: ModelParams) -> ModelParams:
-        fresh = template.copy()
-        fresh.kernels.weights[...] = self.kernel_weights.data
-        for p, (w_q, w_k, w_v, w_proj) in zip(fresh.layers, self.layers):
-            p.w_q[...] = w_q.data
-            p.w_k[...] = w_k.data
-            p.w_v[...] = w_v.data
-            p.w_proj[...] = w_proj.data
-        fresh.w_out[...] = self.w_out.data
-        return fresh
+        return ModelParams.from_arrays(
+            template.d_in, template.kernels.pairs.copy(), [t.data.copy() for t in self.all]
+        )
 
 
 def _forward_t(x: np.ndarray, tensors: _ParamTensors, cfg: TrainConfig):
@@ -526,7 +529,8 @@ def detect(frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, thresh
 
 # -- checkpoint io ------------------------------------------------------------------
 
-_HEADER_FMT = "<6sH12i3dQ5B"
+# Header keys after the TrainConfig fields, with their kinds.
+_HEADER_EXTRAS = {"d_in": "int", "n_pairs": "int", "h1": "float", "norm_stats": "bool"}
 
 
 def save_checkpoint(
@@ -537,173 +541,93 @@ def save_checkpoint(
     h1: float | None = None,
     norm_stats: NormStats | None = None,
 ):
-    """Little-endian binary checkpoint: header, ranked pair list, then raw
-    float64 parameter blocks (kernels, per-layer q/k/v/proj, output
-    projection, optional normalization stats).  A plain-text manifest with
-    the same metadata is written alongside."""
-    d_in = params.d_in
-    header = struct.pack(
-        _HEADER_FMT,
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        cfg.t_window,
-        cfg.d_model,
-        cfg.heads,
-        cfg.layers,
-        cfg.max_epochs,
-        cfg.patience,
-        cfg.k_pairs,
-        cfg.r,
-        cfg.batch_size,
-        cfg.kernel_size,
-        d_in,
-        len(selection.pairs),
-        cfg.lambda_reg,
-        cfg.learning_rate,
-        float("nan") if h1 is None else float(h1),
-        cfg.seed,
-        int(cfg.skip),
-        _ACTIVATION_CODES[cfg.activation],
-        _MASK_CODES[cfg.mask],
-        _PAIR_METHOD_CODES[cfg.pair_method],
-        int(norm_stats is not None),
-    )
-    blocks = [params.kernels.weights]
-    for layer in params.layers:
-        blocks.extend([layer.w_q, layer.w_k, layer.w_v, layer.w_proj])
-    blocks.append(params.w_out)
-    if norm_stats is not None:
-        blocks.extend([norm_stats.mean, norm_stats.std])
-
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for (i, j), score in zip(selection.pairs, selection.scores):
-            fh.write(struct.pack("<iid", i, j, float(score)))
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-
-    manifest = {
-        "magic": CHECKPOINT_MAGIC.decode(),
-        "version": CHECKPOINT_VERSION,
-        "t_window": cfg.t_window,
-        "d_model": cfg.d_model,
-        "heads": cfg.heads,
-        "layers": cfg.layers,
-        "lambda_reg": cfg.lambda_reg,
-        "learning_rate": cfg.learning_rate,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "k_pairs": cfg.k_pairs,
-        "r": cfg.r,
-        "seed": cfg.seed,
-        "skip": cfg.skip,
-        "activation": cfg.activation,
-        "mask": cfg.mask,
-        "batch_size": cfg.batch_size,
-        "pair_method": cfg.pair_method,
-        "kernel_size": cfg.kernel_size,
-        "d_in": d_in,
+    """Checkpoint v2: an ``ALORA2`` line, ``key=value`` lines (the
+    TrainConfig fields in order, then d_in, n_pairs, h1 and norm_stats; an
+    uncalibrated h1 is written as nan), a blank line, then raw little-endian
+    blocks: the ranked pairs as int64, their scores, the
+    :meth:`ModelParams.arrays` in order, and the optional normalization
+    mean and std.  The header text is also written to
+    ``<path>.manifest.txt``."""
+    header = {
+        **asdict(cfg),
+        "d_in": params.d_in,
         "n_pairs": len(selection.pairs),
-        "h1": "" if h1 is None else repr(float(h1)),
+        "h1": float("nan") if h1 is None else float(h1),
         "norm_stats": norm_stats is not None,
     }
-    with open(f"{path}.manifest.txt", "w", encoding="utf-8") as fh:
-        for key, value in manifest.items():
-            fh.write(f"{key}={value}\n")
+    text = CHECKPOINT_MAGIC + "\n" + "".join(f"{key}={value}\n" for key, value in header.items())
+    blocks = [a for _, a in params.arrays()]
+    if norm_stats is not None:
+        blocks += [norm_stats.mean, norm_stats.std]
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii") + b"\n")
+        fh.write(np.asarray(selection.pairs, dtype="<i8").tobytes())
+        fh.write(np.asarray(selection.scores, dtype="<f8").tobytes())
+        for block in blocks:
+            fh.write(np.asarray(block, dtype="<f8").tobytes())
+    with open(f"{path}.manifest.txt", "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def load_checkpoint(path):
-    """Returns (params, cfg, selection, h1, norm_stats)."""
+    """Returns (params, cfg, selection, h1, norm_stats).  A file that is not
+    a complete v2 checkpoint raises :class:`DataError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head_size = struct.calcsize(_HEADER_FMT)
-    if len(raw) < head_size:
-        raise ValueError(f"{path}: truncated checkpoint")
-    fields = struct.unpack_from(_HEADER_FMT, raw)
-    magic, version = fields[0], fields[1]
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    (
-        t_window,
-        d_model,
-        heads,
-        layers,
-        max_epochs,
-        patience,
-        k_pairs,
-        r,
-        batch_size,
-        kernel_size,
-        d_in,
-        n_pairs,
-    ) = fields[2:14]
-    lambda_reg, learning_rate, h1_raw = fields[14:17]
-    seed = fields[17]
-    skip, act_code, mask_code, pair_code, has_stats = fields[18:23]
+    head, sep, body = raw.partition(b"\n\n")
+    lines = head.split(b"\n")
+    if lines[0] != CHECKPOINT_MAGIC.encode():
+        raise DataError(f"{path}: not an {CHECKPOINT_MAGIC} checkpoint")
+    kinds = {**{f.name: f.type for f in fields(TrainConfig)}, **_HEADER_EXTRAS}
+    try:
+        items = [line.decode("ascii").partition("=") for line in lines[1:]]
+    except UnicodeDecodeError:
+        items = []
+    if not sep or [key for key, _, _ in items] != list(kinds):
+        raise DataError(f"{path}: damaged or truncated checkpoint header")
+    values = {key: parse_value(kinds[key], text, f"{path}: {key}", DataError)
+              for key, _, text in items}
+    d_in, n_pairs, h1, has_stats = (values.pop(key) for key in _HEADER_EXTRAS)
+    try:
+        cfg = TrainConfig(**values)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if d_in < 2 or n_pairs < 1:
+        raise DataError(f"{path}: header has d_in={d_in}, n_pairs={n_pairs}")
 
-    cfg = TrainConfig(
-        t_window=t_window,
-        d_model=d_model,
-        heads=heads,
-        layers=layers,
-        lambda_reg=lambda_reg,
-        learning_rate=learning_rate,
-        max_epochs=max_epochs,
-        patience=patience,
-        k_pairs=k_pairs,
-        r=r,
-        seed=seed,
-        skip=bool(skip),
-        activation={v: k for k, v in _ACTIVATION_CODES.items()}[act_code],
-        mask={v: k for k, v in _MASK_CODES.items()}[mask_code],
-        batch_size=batch_size,
-        pair_method={v: k for k, v in _PAIR_METHOD_CODES.items()}[pair_code],
-        kernel_size=kernel_size,
-    )
+    # Views into the file first: a header that claims more data than the
+    # file holds fails here, before any array is allocated.
+    offset = 0
 
-    offset = head_size
-    pair_fmt = "<iid"
-    pair_size = struct.calcsize(pair_fmt)
-    pairs = []
-    scores = []
-    for _ in range(n_pairs):
-        i, j, score = struct.unpack_from(pair_fmt, raw, offset)
-        pairs.append((i, j))
-        scores.append(score)
-        offset += pair_size
-    selection = embedding.PairSelection(pairs=tuple(pairs), scores=np.array(scores))
-
-    def take(shape):
+    def view(dtype, shape):
         nonlocal offset
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-        return arr.astype(np.float64)
+        arr = np.frombuffer(body, dtype, math.prod(shape), offset).reshape(shape)
+        offset += arr.nbytes
+        return arr
 
-    kernels = embedding.EmbeddingKernels(
-        n_series=d_in,
-        pairs=np.array([pairs[c % n_pairs] for c in range(d_model)], dtype=np.int64),
-        weights=take((d_model, 2, kernel_size)),
+    dm, dh = cfg.d_model, cfg.d_model // cfg.heads
+    layer_shapes = [(cfg.heads, dm, dh)] * 3 + [(dm, dm)]
+    try:
+        pairs, scores = view("<i8", (n_pairs, 2)), view("<f8", (n_pairs,))
+        blocks = [view("<f8", (dm, 2, cfg.kernel_size))]
+        for _ in range(cfg.layers):
+            blocks += [view("<f8", shape) for shape in layer_shapes]
+        blocks.append(view("<f8", (dm, d_in)))
+        stats = [view("<f8", (d_in,)) for _ in range(2 * has_stats)]
+    except ValueError:
+        raise DataError(f"{path}: truncated checkpoint") from None
+    if offset != len(body):
+        raise DataError(f"{path}: {len(body) - offset} trailing bytes")
+
+    pairs = pairs.astype(np.int64)
+    selection = embedding.PairSelection(
+        pairs=tuple(map(tuple, pairs.tolist())), scores=scores.astype(np.float64)
     )
-    dh = d_model // heads
-    layer_params = [
-        attention.AttentionLayerParams(
-            w_q=take((heads, d_model, dh)),
-            w_k=take((heads, d_model, dh)),
-            w_v=take((heads, d_model, dh)),
-            w_proj=take((d_model, d_model)),
-            layer_index=l,
+    try:
+        params = ModelParams.from_arrays(
+            d_in, pairs[np.arange(dm) % n_pairs], [b.astype(np.float64) for b in blocks]
         )
-        for l in range(layers)
-    ]
-    w_out = take((d_model, d_in))
-    norm_stats = None
-    if has_stats:
-        norm_stats = NormStats(mean=take((d_in,)), std=take((d_in,)))
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
-    params = ModelParams(kernels=kernels, layers=layer_params, w_out=w_out)
-    h1 = None if np.isnan(h1_raw) else float(h1_raw)
-    return params, cfg, selection, h1, norm_stats
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    norm_stats = NormStats(*(s.astype(np.float64) for s in stats)) if has_stats else None
+    return params, cfg, selection, None if math.isnan(h1) else h1, norm_stats

@@ -98,7 +98,7 @@ def unroll_skip(layers, x_embedded) -> np.ndarray:
     return total
 
 
-def harvest_layers(layer_params, x_embedded, skip: bool, mask=None):
+def harvest_layers(layer_params, x_embedded, skip: bool, mask=None, activation: str = "identity"):
     """Run the real forward pass, collecting per-layer per-head attention
     matrices paired with per-head effective value maps.
 
@@ -111,7 +111,7 @@ def harvest_layers(layer_params, x_embedded, skip: bool, mask=None):
         s_heads, _ = attention.attention_scores(z, p, mask)
         head_maps = attention.per_head_value_maps(p)
         layers.append(list(zip(s_heads, head_maps)))
-        z, _ = attention.layer_forward(z, p, skip=skip, activation="identity", mask=mask)
+        z, _ = attention.layer_forward(z, p, skip=skip, activation=activation, mask=mask)
     return layers, z
 
 
@@ -146,16 +146,7 @@ def verify_unrolled(
     observed divergence without asserting.
     """
     exact = activation == "identity"
-    if exact:
-        layers, z_ref = harvest_layers(layer_params, x_embedded, skip=skip, mask=mask)
-    else:
-        z = np.asarray(x_embedded, dtype=np.float64)
-        layers = []
-        for p in layer_params:
-            s_heads, _ = attention.attention_scores(z, p, mask)
-            layers.append(list(zip(s_heads, attention.per_head_value_maps(p))))
-            z, _ = attention.layer_forward(z, p, skip=skip, activation=activation, mask=mask)
-        z_ref = z
+    layers, z_ref = harvest_layers(layer_params, x_embedded, skip, mask, activation)
     if skip:
         candidate = unroll_skip(layers, x_embedded)
         terms = 2 ** len(layer_params)

@@ -72,7 +72,7 @@ def test_criterion_3_geman_gradient():
     rng = np.random.default_rng(33)
     for _ in range(10):
         m = _distinct_sigma_matrix(rng)
-        _, grad = linalg.geman_loss_grad(m, 1)
+        grad = linalg.geman_batch(m[None], 1)[1][0]
         h = 1e-6
         fd = np.zeros_like(m)
         for i in range(6):
@@ -82,7 +82,7 @@ def test_criterion_3_geman_gradient():
                 down = m.copy()
                 down[i, j] -= h
                 fd[i, j] = (
-                    linalg.geman_loss_grad(up, 1)[0] - linalg.geman_loss_grad(down, 1)[0]
+                    linalg.geman_batch(up[None], 1)[0] - linalg.geman_batch(down[None], 1)[0]
                 ) / (2 * h)
         rel = np.abs(grad - fd).max() / np.abs(fd).max()
         assert rel <= 1e-4

@@ -123,19 +123,19 @@ class TestLayerForward:
 class TestLayerLoss:
     def test_uniform_attention_rank_one(self):
         s = np.full((6, 6), 1.0 / 6.0)
-        loss, _ = attention.layer_alora_loss(s, 1)
+        loss, _ = linalg.geman_batch(s[None], 1)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_attention(self):
-        loss, _ = attention.layer_alora_loss(np.eye(4), 1)
+        loss, _ = linalg.geman_batch(np.eye(4)[None], 1)
         assert loss == pytest.approx(1.5)
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(18)
         s = linalg.softmax_rows(rng.normal(size=(7, 7)))
         perm = rng.permutation(7)
-        loss_a, _ = attention.layer_alora_loss(s, 1)
-        loss_b, _ = attention.layer_alora_loss(s[perm][:, perm], 1)
+        loss_a, _ = linalg.geman_batch(s[None], 1)
+        loss_b, _ = linalg.geman_batch(s[perm][:, perm][None], 1)
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
 
     def test_end_to_end_gradient_wrt_wq(self):

@@ -48,6 +48,15 @@ class TestCsv:
         with pytest.raises(DataError, match=":3"):
             data.load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1.0,2.0\n3.0,nan\n", "a,b\n1.0,2.0\n-inf,4.0\n", "a,label\n1.0,0\n2.0,nan\n"]
+    )
+    def test_non_finite_reports_line(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=":3: non-finite"):
+            data.load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

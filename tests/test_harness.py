@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from alorat import data
+from alorat import model as model_mod
+from alorat.data import DataError
 from alorat.harness import main
 
 
@@ -171,6 +173,68 @@ class TestScoreCommand:
             },
         )
         assert main(["score", "--config", str(cfg2)]) == 2
+
+
+    def test_non_finite_data_cell(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        assert main(["train", "--config", str(cfg)]) == 0
+        csv_path = tmp_path / "sim" / "sim.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["score", "--config", str(cfg)]) == 3
+        assert ":6: non-finite cell" in capsys.readouterr().err
+
+
+class TestCheckpointDecoding:
+    """A damaged checkpoint is a data error, never a crash.  Header flips that
+    set the byte's high bit leave the header no longer ASCII text and must be
+    rejected; a flip that stays inside ASCII (one digit for another) may
+    decode as a different valid config, because the format has no checksum."""
+
+    @pytest.fixture
+    def trained(self, workspace):
+        tmp_path, cfg = workspace
+        assert main(["train", "--config", str(cfg)]) == 0
+        raw = (tmp_path / "run" / "model.alora").read_bytes()
+        return tmp_path, cfg, raw, raw.index(b"\n\n") + 2
+
+    @staticmethod
+    def flip(raw, i, mask):
+        return raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1 :]
+
+    def test_every_truncation_and_flip(self, trained):
+        tmp_path, _, raw, header_len = trained
+        path = tmp_path / "damaged.alora"
+        rng = np.random.default_rng(0)
+
+        def load(blob):
+            path.write_bytes(blob)
+            return model_mod.load_checkpoint(path)
+
+        for cut in range(len(raw)):
+            with pytest.raises(DataError):
+                load(raw[:cut])
+        for i in range(len(raw)):
+            if i < header_len:
+                with pytest.raises(DataError):
+                    load(self.flip(raw, i, 0x80 | int(rng.integers(0, 0x80))))
+            try:
+                load(self.flip(raw, i, int(rng.integers(1, 0x100))))
+            except DataError:
+                pass
+
+    def test_score_exits_3_with_one_line(self, trained, capsys):
+        tmp_path, cfg, raw, header_len = trained
+        flipped = self.flip(raw, int(np.random.default_rng(1).integers(0, header_len)), 0x80)
+        for blob in (raw[: len(raw) // 2], flipped):
+            (tmp_path / "run" / "model.alora").write_bytes(blob)
+            capsys.readouterr()
+            assert main(["score", "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ")
+            assert len(err.splitlines()) == 1
 
 
 class TestPipelineCommands:

@@ -64,30 +64,30 @@ class TestSvd:
 
 class TestGemanLoss:
     def test_direct_value(self):
-        loss, _ = linalg.geman_loss_grad(np.diag([1.0, 0.5]), 1)
+        loss, _ = linalg.geman_batch(np.diag([1.0, 0.5])[None], 1)
         assert loss == pytest.approx(0.5 / 1.5)
 
     def test_rank_one_matrix(self):
         m = np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])
-        loss, grad = linalg.geman_loss_grad(m, 1)
+        loss, grad = linalg.geman_batch(m[None], 1)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
     def test_r_at_least_dimension(self):
-        loss, grad = linalg.geman_loss_grad(np.eye(3), 3)
+        loss, grad = linalg.geman_batch(np.eye(3)[None], 3)
         assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros((3, 3)))
+        np.testing.assert_array_equal(grad[0], np.zeros((3, 3)))
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            linalg.geman_loss_grad(np.ones((2, 3)), 1)
+            linalg.geman_batch(np.ones((2, 3))[None], 1)
         with pytest.raises(ValueError):
-            linalg.geman_loss_grad(np.eye(2), -1)
+            linalg.geman_batch(np.eye(2)[None], -1)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(123)
         m = rng.normal(size=(6, 6))
-        _, grad = linalg.geman_loss_grad(m, 1)
+        grad = linalg.geman_batch(m[None], 1)[1][0]
         h = 1e-6
         fd = np.zeros_like(m)
         for i in range(6):
@@ -97,7 +97,7 @@ class TestGemanLoss:
                 down = m.copy()
                 down[i, j] -= h
                 fd[i, j] = (
-                    linalg.geman_loss_grad(up, 1)[0] - linalg.geman_loss_grad(down, 1)[0]
+                    linalg.geman_batch(up[None], 1)[0] - linalg.geman_batch(down[None], 1)[0]
                 ) / (2 * h)
         rel = np.abs(grad - fd).max() / np.abs(fd).max()
         assert rel <= 1e-4
@@ -106,10 +106,10 @@ class TestGemanLoss:
         rng = np.random.default_rng(9)
         stack = rng.normal(size=(4, 5, 5))
         total, grads = linalg.geman_batch(stack, 1)
-        singles = [linalg.geman_loss_grad(m, 1) for m in stack]
+        singles = [linalg.geman_batch(m[None], 1) for m in stack]
         assert total == pytest.approx(sum(s[0] for s in singles))
         for g_batch, (_, g_single) in zip(grads, singles):
-            np.testing.assert_allclose(g_batch, g_single, atol=1e-12)
+            np.testing.assert_allclose(g_batch, g_single[0], atol=1e-12)
 
 
 class TestSoftmaxRows:

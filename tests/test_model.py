@@ -83,7 +83,7 @@ class TestForward:
         np.testing.assert_allclose(recon, window, atol=1e-12)
         # with perfect reconstruction the objective is the penalty term alone
         terms = model.total_loss(window, params, cfg)
-        reg = cfg.lambda_reg * linalg.geman_loss_grad(trace.s_layers[0], cfg.r)[0]
+        reg = cfg.lambda_reg * linalg.geman_batch(trace.s_layers[0][None], cfg.r)[0]
         assert terms.recon == pytest.approx(0.0, abs=1e-20)
         assert terms.total == pytest.approx(reg, rel=1e-12, abs=1e-15)
 
@@ -136,7 +136,7 @@ class TestTotalLoss:
             recon, trace = model.forward(window, params, cfg)
             expected_recon += np.sum((window - recon) ** 2)
             for s in trace.s_layers:
-                expected_reg += cfg.lambda_reg * linalg.geman_loss_grad(s, cfg.r)[0]
+                expected_reg += cfg.lambda_reg * linalg.geman_batch(s[None], cfg.r)[0]
         assert terms.recon == pytest.approx(expected_recon, rel=1e-10)
         assert terms.reg == pytest.approx(expected_reg, rel=1e-10)
         assert terms.total == pytest.approx(expected_recon + expected_reg, rel=1e-10)
@@ -360,7 +360,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(stats2.std, stats.std)
         assert (tmp_path / "model.alora.manifest.txt").exists()
         with open(path, "rb") as fh:
-            assert fh.read(6) == b"ALORA1"
+            assert fh.read(6) == b"ALORA2"
 
     def test_missing_h1_roundtrips_as_none(self, tmp_path):
         cfg = tiny_cfg()

@@ -104,6 +104,11 @@ class TestVerifyUnrolled:
         assert report.mode == "approximation"
         assert report.passed is None
         assert report.max_abs_error > 0
+        _, z_ref = star_verify.harvest_layers(params, x, skip=True, activation="gelu")
+        z = x
+        for p in params:
+            z, _ = attention.layer_forward(z, p, skip=True, activation="gelu")
+        np.testing.assert_array_equal(z_ref, z)
 
 
 class TestFfnRegroup:
