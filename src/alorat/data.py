@@ -94,7 +94,8 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
     """Load a rectangular numeric CSV with a header row.
 
     A column whose name equals ``label_column`` (default "label") becomes the
-    binary label sequence instead of a value series.
+    binary label sequence instead of a value series; a label cell that is
+    not 0 or 1 is a :class:`DataError` naming its line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -119,6 +120,8 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
                 label = parsed.pop(label_idx)
                 if not np.isfinite(label):
                     raise DataError(f"{path}:{line_no}: non-finite label {label}")
+                if label not in (0.0, 1.0):
+                    raise DataError(f"{path}:{line_no}: label {label:g} is not 0 or 1")
                 labels.append(int(label))
             rows.append(parsed)
     if not rows:
@@ -232,7 +235,13 @@ def downsample_mean(frame: TimeSeriesFrame, factor: int) -> TimeSeriesFrame:
 
 def windows(values, t: int, stride: int = 1) -> np.ndarray:
     """Overlapping windows [s, s+t) for s = 0, stride, ...; shape
-    (count, t, d) with count = floor((N - t) / stride) + 1."""
+    (count, t, d) with count = floor((N - t) / stride) + 1.
+
+    The result is a read-only view that shares memory with ``values``: no
+    window is copied, so its ``nbytes`` counts every row once per window
+    while it occupies only the N x d input.  Callers that write to windows
+    copy them first, e.g. with ``np.array(win)``; fancy indexing such as
+    ``win[idx]`` already returns a copy."""
     if isinstance(values, TimeSeriesFrame):
         values = values.values
     v = np.asarray(values, dtype=np.float64)
@@ -242,8 +251,7 @@ def windows(values, t: int, stride: int = 1) -> np.ndarray:
         raise DataError("stride must be >= 1")
     if v.shape[0] < t:
         raise DataError(f"series length {v.shape[0]} shorter than window {t}")
-    view = np.lib.stride_tricks.sliding_window_view(v, (t, v.shape[1]))[::stride, 0]
-    return np.ascontiguousarray(view)
+    return np.lib.stride_tricks.sliding_window_view(v, (t, v.shape[1]))[::stride, 0]
 
 
 # -- synthetic data ----------------------------------------------------------------

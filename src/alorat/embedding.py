@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
+from .data import DataError
 
 __all__ = [
     "PairSelection",
@@ -132,7 +133,7 @@ def select_pairs(train, k: int, method: str = "spearman") -> PairSelection:
     values = train.values if hasattr(train, "values") else np.asarray(train, dtype=np.float64)
     d = values.shape[1]
     if d < 2:
-        raise ValueError("pair selection needs at least 2 series")
+        raise DataError("pair selection needs at least 2 series")
     if method not in ("spearman", "pearson"):
         raise ValueError(f"unknown correlation method {method!r}")
     if k < 1:
@@ -192,19 +193,21 @@ def pair_conv(x: np.ndarray, weights: Tensor, pairs: np.ndarray) -> Tensor:
     half = (m - 1) // 2
     t_len = x.shape[-2]
     pad = [(0, 0)] * (x.ndim - 2) + [(half, half), (0, 0)]
-    xp = np.pad(x, pad)
-    segs = [xp[..., lag : lag + t_len, :] for lag in range(m)]
+    # Only the channels' own series are gathered and padded, so the
+    # temporaries scale with d_model, not with the number of input series.
+    sides = [np.pad(x[..., pairs[:, side]], pad) for side in (0, 1)]
+    segs = [[xp[..., lag : lag + t_len, :] for xp in sides] for lag in range(m)]
     out = np.zeros(x.shape[:-1] + (d_model,))
-    for lag, seg in enumerate(segs):
-        out += seg[..., pairs[:, 0]] * weights.data[:, 0, lag]
-        out += seg[..., pairs[:, 1]] * weights.data[:, 1, lag]
+    for lag, (first, second) in enumerate(segs):
+        out += first * weights.data[:, 0, lag]
+        out += second * weights.data[:, 1, lag]
 
     def backward(grad):
         gw = np.zeros_like(weights.data)
         lead = tuple(range(grad.ndim - 1))
-        for lag, seg in enumerate(segs):
-            gw[:, 0, lag] = np.sum(grad * seg[..., pairs[:, 0]], axis=lead)
-            gw[:, 1, lag] = np.sum(grad * seg[..., pairs[:, 1]], axis=lead)
+        for lag, (first, second) in enumerate(segs):
+            gw[:, 0, lag] = np.sum(grad * first, axis=lead)
+            gw[:, 1, lag] = np.sum(grad * second, axis=lead)
         weights._accumulate(gw)
 
     return Tensor(out, weights.requires_grad, (weights,), backward)

@@ -107,12 +107,15 @@ def softmax_rows(m, mask=None) -> np.ndarray:
 
 def softmax_last(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of an arbitrary stack; -inf entries map
-    to exact zeros."""
+    to exact zeros.  Exponent and division run in place on the one
+    ``a - top`` temporary."""
     top = np.max(a, axis=-1, keepdims=True)
     if np.isneginf(top).any():
         raise ValueError("softmax over a fully masked row is undefined")
-    e = np.exp(a - top)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.subtract(a, top)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def causal_mask(t: int) -> np.ndarray:

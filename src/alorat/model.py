@@ -10,6 +10,7 @@ calibrated cutoff h1; the alarm threshold h2 turns scores into labels.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -324,8 +325,9 @@ def init_params(values: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
 
 
 def _mean_loss(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
-    terms = total_loss(win, params, cfg)
-    return terms.total / win.shape[0]
+    """Mean per-window :func:`total_loss`, summed chunk by chunk."""
+    total = sum(total_loss(chunk, params, cfg).total for chunk in _chunks(win, cfg))
+    return total / win.shape[0]
 
 
 def calibrate_h1(fourth, fifth) -> float:
@@ -343,7 +345,7 @@ def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> f
     if not idx:
         idx = [cfg.t_window - 1]
     sig_cols = []
-    for chunk in _chunks(win, 512):
+    for chunk in _chunks(win, cfg):
         _, _, sigma = batch_forward(chunk, params, cfg)
         sig_cols.append(sigma[:, idx])
     traj = np.concatenate(sig_cols, axis=0)
@@ -352,9 +354,23 @@ def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> f
     return calibrate_h1(traj[:, 0], traj[:, 1])
 
 
-def _chunks(arr: np.ndarray, size: int):
-    for start in range(0, arr.shape[0], size):
-        yield arr[start : start + size]
+# Bytes of one chunk's (windows, heads, T, T) attention stack.  Chunks this
+# small keep an inference pass's temporaries in cache, and the allocator
+# reuses them from chunk to chunk instead of returning them to the kernel
+# and faulting them in again.
+CHUNK_BYTES = 1 << 20
+
+
+def _chunk_windows(cfg: TrainConfig) -> int:
+    """Windows per inference chunk: :data:`CHUNK_BYTES` of attention."""
+    return max(1, CHUNK_BYTES // (8 * cfg.heads * cfg.t_window**2))
+
+
+def _chunks(win: np.ndarray, cfg: TrainConfig):
+    """The one walker of every inference pass over a window stack."""
+    size = _chunk_windows(cfg)
+    for start in range(0, win.shape[0], size):
+        yield win[start : start + size]
 
 
 def train(
@@ -424,6 +440,10 @@ def train(
             optimizer.step()
             recon_sum += float(recon_loss.data)
             reg_sum += cfg.lambda_reg * reg_val
+        # The last step's autodiff graph would stay alive under validation
+        # and calibration.  Dropping it once per epoch, not per step, keeps
+        # the allocator from trimming and re-faulting its heap every batch.
+        del recon, s_avgs, recon_loss, loss, pen, batch_loss
 
         current = tensors.to_params(params)
         try:
@@ -478,7 +498,9 @@ def anomaly_score(y_t, recon_t, score: int) -> float:
 
 def score_frame(frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h1: float) -> ScoreSeries:
     """Score every timestep: each t is the last row of its window; the
-    first T-1 timesteps reuse the first window and are flagged."""
+    first T-1 timesteps reuse the first window and are flagged.  Windows
+    are forwarded chunk by chunk from a view of ``frame``, so memory is the
+    O(N·d) outputs plus one chunk."""
     values = frame.values if hasattr(frame, "values") else np.asarray(frame, dtype=np.float64)
     n, d = values.shape
     t_len = cfg.t_window
@@ -490,7 +512,7 @@ def score_frame(frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h
     counts = np.empty(win.shape[0], dtype=np.int64)
     offset = 0
     first_recon = None
-    for chunk in _chunks(win, 512):
+    for chunk in _chunks(win, cfg):
         recon, _, sigma = batch_forward(chunk, params, cfg)
         if offset == 0:
             first_recon = recon[0]
@@ -543,10 +565,11 @@ def save_checkpoint(
 ):
     """Checkpoint v2: an ``ALORA2`` line, ``key=value`` lines (the
     TrainConfig fields in order, then d_in, n_pairs, h1 and norm_stats; an
-    uncalibrated h1 is written as nan), a blank line, then raw little-endian
-    blocks: the ranked pairs as int64, their scores, the
-    :meth:`ModelParams.arrays` in order, and the optional normalization
-    mean and std.  The header text is also written to
+    uncalibrated h1 is written as nan), a ``crc32=`` line, a blank line,
+    then raw little-endian blocks: the ranked pairs as int64, their scores,
+    the :meth:`ModelParams.arrays` in order, and the optional normalization
+    mean and std.  The CRC-32 (zlib, 8 hex digits) covers the header lines
+    before it and the blocks.  The header text is also written to
     ``<path>.manifest.txt``."""
     header = {
         **asdict(cfg),
@@ -559,12 +582,14 @@ def save_checkpoint(
     blocks = [a for _, a in params.arrays()]
     if norm_stats is not None:
         blocks += [norm_stats.mean, norm_stats.std]
+    body = b"".join(
+        [np.asarray(selection.pairs, dtype="<i8").tobytes(),
+         np.asarray(selection.scores, dtype="<f8").tobytes()]
+        + [np.asarray(block, dtype="<f8").tobytes() for block in blocks]
+    )
+    text += f"crc32={zlib.crc32(body, zlib.crc32(text.encode('ascii'))):08x}\n"
     with open(path, "wb") as fh:
-        fh.write(text.encode("ascii") + b"\n")
-        fh.write(np.asarray(selection.pairs, dtype="<i8").tobytes())
-        fh.write(np.asarray(selection.scores, dtype="<f8").tobytes())
-        for block in blocks:
-            fh.write(np.asarray(block, dtype="<f8").tobytes())
+        fh.write(text.encode("ascii") + b"\n" + body)
     with open(f"{path}.manifest.txt", "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -578,12 +603,15 @@ def load_checkpoint(path):
     lines = head.split(b"\n")
     if lines[0] != CHECKPOINT_MAGIC.encode():
         raise DataError(f"{path}: not an {CHECKPOINT_MAGIC} checkpoint")
+    covered, _, crc_line = head.rpartition(b"\n")
+    if not sep or crc_line != b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered + b"\n")):
+        raise DataError(f"{path}: checksum mismatch: damaged or truncated checkpoint")
     kinds = {**{f.name: f.type for f in fields(TrainConfig)}, **_HEADER_EXTRAS}
     try:
-        items = [line.decode("ascii").partition("=") for line in lines[1:]]
+        items = [line.decode("ascii").partition("=") for line in lines[1:-1]]
     except UnicodeDecodeError:
         items = []
-    if not sep or [key for key, _, _ in items] != list(kinds):
+    if [key for key, _, _ in items] != list(kinds):
         raise DataError(f"{path}: damaged or truncated checkpoint header")
     values = {key: parse_value(kinds[key], text, f"{path}: {key}", DataError)
               for key, _, text in items}

@@ -57,6 +57,13 @@ class TestCsv:
         with pytest.raises(DataError, match=":3: non-finite"):
             data.load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["300", "0.5", "-1", "2"])
+    def test_label_not_binary_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,label\n1.0,0\n2.0,{cell}\n")
+        with pytest.raises(DataError, match=":3: label .* is not 0 or 1"):
+            data.load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -176,6 +183,14 @@ class TestWindows:
     def test_accepts_frame(self):
         frame = TimeSeriesFrame(values=np.zeros((5, 2)), names=("a", "b"))
         assert data.windows(frame, 2).shape == (4, 2, 2)
+
+    def test_read_only_view_of_input(self):
+        values = np.arange(20.0).reshape(10, 2)
+        win = data.windows(values, 4, 1)
+        assert not win.flags.writeable
+        assert np.shares_memory(win, values)
+        with pytest.raises(ValueError):
+            win[0, 0, 0] = 1.0
 
 
 class TestSimulate:

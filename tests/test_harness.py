@@ -117,6 +117,27 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "ghost.ini")]) == 2
 
+    def test_non_binary_label_exits_3(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        csv_path = tmp_path / "sim" / "sim.csv"
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].endswith(",label")
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",300"
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and ":5: label 300 is not 0 or 1" in err
+
+    def test_one_series_exits_3(self, tmp_path, capsys):
+        frame = data.TimeSeriesFrame(values=np.random.default_rng(0).normal(size=(40, 1)),
+                                     names=("a",))
+        data.save_csv(frame, tmp_path / "one.csv")
+        cfg = tmp_path / "one.ini"
+        write_config(cfg, {"train": {"data": tmp_path / "one.csv", "out": tmp_path / "o",
+                                     "t_window": 8, "d_model": 4, "heads": 2}})
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "data error: pair selection needs at least 2 series" in capsys.readouterr().err
+
 
 class TestScoreCommand:
     def test_scores_training_data(self, workspace):
@@ -175,6 +196,18 @@ class TestScoreCommand:
         assert main(["score", "--config", str(cfg2)]) == 2
 
 
+    def test_linalg_failure_exits_4(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg = workspace
+        assert main(["train", "--config", str(cfg)]) == 0
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        capsys.readouterr()
+        assert main(["score", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == "numeric failure: SVD did not converge\n"
+
     def test_non_finite_data_cell(self, workspace, capsys):
         tmp_path, cfg = workspace
         assert main(["train", "--config", str(cfg)]) == 0
@@ -188,10 +221,9 @@ class TestScoreCommand:
 
 
 class TestCheckpointDecoding:
-    """A damaged checkpoint is a data error, never a crash.  Header flips that
-    set the byte's high bit leave the header no longer ASCII text and must be
-    rejected; a flip that stays inside ASCII (one digit for another) may
-    decode as a different valid config, because the format has no checksum."""
+    """A damaged checkpoint is a data error, never a crash.  The CRC-32 line
+    covers the rest of the header and the body, so every truncation and
+    every single-byte change anywhere in the file is rejected."""
 
     @pytest.fixture
     def trained(self, workspace):
@@ -220,10 +252,12 @@ class TestCheckpointDecoding:
             if i < header_len:
                 with pytest.raises(DataError):
                     load(self.flip(raw, i, 0x80 | int(rng.integers(0, 0x80))))
-            try:
+            with pytest.raises(DataError):
                 load(self.flip(raw, i, int(rng.integers(1, 0x100))))
-            except DataError:
-                pass
+        # One bit of a digit in the header: still ASCII, still a valid value.
+        seed_digit = raw.index(b"\nseed=") + len(b"\nseed=")
+        with pytest.raises(DataError, match="checksum"):
+            load(self.flip(raw, seed_digit, 0x01))
 
     def test_score_exits_3_with_one_line(self, trained, capsys):
         tmp_path, cfg, raw, header_len = trained

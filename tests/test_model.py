@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,62 @@ class TestScoreFrame:
         frame = TimeSeriesFrame(values=np.zeros((5, 3)), names=("a", "b", "c"))
         with pytest.raises(DataError):
             model.score_frame(frame, params, cfg, h1=0.0)
+
+
+class TestChunking:
+    """Every inference pass walks the window view in chunks; the chunk
+    length changes no per-window output."""
+
+    def test_score_frame_independent_of_chunk_size(self, monkeypatch):
+        cfg = tiny_cfg()
+        params = random_params(cfg, 3, seed=18)
+        values = np.random.default_rng(19).normal(size=(60, 3))
+        frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
+        names = ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series",
+                 "from_first_window")
+        outputs = []
+        for size in (1, 7, values.shape[0] - cfg.t_window + 1):
+            monkeypatch.setattr(model, "_chunk_windows", lambda cfg, size=size: size)
+            series = model.score_frame(frame, params, cfg, h1=0.01)
+            outputs.append([getattr(series, name).tobytes() for name in names])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_chunked_mean_loss_matches_one_shot(self, monkeypatch):
+        cfg = tiny_cfg(lambda_reg=3.0)
+        params = random_params(cfg, 3, seed=20)
+        win = data.windows(np.random.default_rng(21).normal(size=(80, 3)), cfg.t_window)
+        one_shot = model.total_loss(win, params, cfg).total / win.shape[0]
+        monkeypatch.setattr(model, "_chunk_windows", lambda cfg: 7)
+        assert model._mean_loss(win, params, cfg) == pytest.approx(one_shot, rel=1e-12, abs=0)
+
+    def test_chunk_holds_one_mebibyte_of_attention(self):
+        # 4 heads x 20 x 20 float64 = 12,800 bytes per window
+        assert model._chunk_windows(tiny_cfg(t_window=20, d_model=16, heads=4)) == 81
+        assert model._chunk_windows(tiny_cfg(t_window=16, d_model=8, heads=2)) == 256
+        assert model._chunk_windows(tiny_cfg(t_window=2048, d_model=8, heads=8)) == 1
+
+    def test_scoring_memory_does_not_grow_with_window_stack(self):
+        cfg = tiny_cfg(t_window=16, d_model=4, heads=1, layers=1, k_pairs=2)
+        d = 4
+        params = random_params(cfg, d, seed=22)
+        rng = np.random.default_rng(23)
+        small, large = 2000, 8000
+        frames = [TimeSeriesFrame(values=rng.normal(size=(n, d)), names=tuple("abcd"))
+                  for n in (small, large)]
+
+        def traced_peak(frame):
+            tracemalloc.start()
+            try:
+                model.score_frame(frame, params, cfg, h1=0.01)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(frames[0])  # first call pays for one-off imports and caches
+        growth = traced_peak(frames[1]) - traced_peak(frames[0])
+        # The N x T x d stack that a contiguous copy of the windows would take.
+        stack = (large - cfg.t_window + 1) * cfg.t_window * d * 8
+        assert growth < stack / 4
 
 
 class TestDetect:
