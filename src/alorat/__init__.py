@@ -4,7 +4,7 @@ attention spectrum, localization via closed-form input-to-output
 contribution weights, plus evaluation metrics, synthetic data, and a
 numerical verifier for the unrolled algebraic forms of the encoder."""
 
-from .linalg import SvdResult, svd, softmax_rows
+from .linalg import SvdResult, svd, softmax_rows, spectrum
 from .embedding import (
     PairSelection,
     EmbeddingKernels,
@@ -13,12 +13,7 @@ from .embedding import (
     init_kernels,
     embed,
 )
-from .attention import (
-    AttentionLayerParams,
-    AttentionTrace,
-    attention_scores,
-    layer_forward,
-)
+from .attention import AttentionLayerParams, AttentionTrace
 from .model import (
     ModelParams,
     TrainConfig,

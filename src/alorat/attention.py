@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag
+from . import autograd as ag, linalg
 from .autograd import Tensor
 
 __all__ = [
     "AttentionLayerParams",
     "AttentionTrace",
     "init_layer_params",
-    "attention_scores",
-    "layer_forward",
+    "forward_t",
     "effective_value_map",
     "per_head_value_maps",
 ]
@@ -107,19 +106,7 @@ def per_head_value_maps(params: AttentionLayerParams) -> np.ndarray:
     )
 
 
-# -- tensor cores (shared by inference wrappers and the training tape) --------
-
-
-def scores_t(z: Tensor, w_q: Tensor, w_k: Tensor, mask: np.ndarray | None):
-    """Per-head attention matrices (..., H, T, T) and their head average."""
-    d_model = z.shape[-1]
-    zh = ag.expand_dims(z, -3)
-    q = zh @ w_q
-    k = zh @ w_k
-    logits = (q @ k.transpose_last()) * (1.0 / np.sqrt(d_model))
-    s_heads = ag.softmax_rows(logits, mask)
-    s_avg = ag.mean_axis(s_heads, -3)
-    return s_heads, s_avg
+# -- the layer kernel, shared by training and inference ------------------------
 
 
 def forward_t(
@@ -132,50 +119,84 @@ def forward_t(
     activation: str,
     mask: np.ndarray | None,
 ):
-    """One layer; returns (z_next, s_avg, s_heads)."""
+    """One layer over a (..., T, d_model) stack; returns (z_next, s_avg,
+    s_heads): the output Tensor, the head-averaged attention Tensor
+    (..., T, T) and the per-head attention array (..., H, T, T).
+
+    Queries, keys and values come from one (B*T, d_model) @ (d_model,
+    3*d_model) product with the 1/sqrt(d_model) scale folded into the query
+    columns.  The backward is written out: with P a head's attention, dP
+    its incoming gradient (value path plus the share of s_avg's), the
+    logits get P * (dP - rowsum(dP * P)).  ``z_next`` is the node that holds
+    it; ``s_avg`` is a node on top of it that only hands its gradient over.
+    """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    s_heads, s_avg = scores_t(z, w_q, w_k, mask)
-    zh = ag.expand_dims(z, -3)
-    heads = s_heads @ (zh @ w_v)  # (..., H, T, dh)
-    t_len, dh = heads.shape[-2], heads.shape[-1]
-    h_count = heads.shape[-3]
-    merged = ag.reshape(ag.moveaxis(heads, -3, -2), heads.shape[:-3] + (t_len, h_count * dh))
-    out = merged @ w_proj
+    heads, d_model, dh = w_q.shape
+    if z.shape[-1] != d_model:
+        raise ValueError(f"input shape {z.shape} incompatible with d_model {d_model}")
+    lead, t_len = z.shape[:-2], z.shape[-2]
+    z2 = z.data.reshape(-1, d_model)
+    b = z2.shape[0] // t_len
+    scale = 1.0 / np.sqrt(d_model)
+    w_qkv = np.concatenate([w_q.data * scale, w_k.data, w_v.data]).transpose(1, 0, 2)
+    w_qkv = w_qkv.reshape(d_model, 3 * d_model)
+    # Head-major (H, B, T, dh) views: the head mean then adds whole slabs.
+    qkv = (z2 @ w_qkv).reshape(b, t_len, 3, heads, dh).transpose(2, 3, 0, 1, 4)
+    q, k, v = qkv
+    logits = q @ np.swapaxes(k, -1, -2)
+    if mask is not None:
+        logits += mask
+    p = linalg.softmax_last(logits)
+    s_avg = p.mean(axis=0)
+    merged = (p @ v).transpose(1, 2, 0, 3).reshape(-1, d_model)
+    pre = merged @ w_proj.data
     if skip:
-        out = out + z
-    if activation == "gelu":
-        out = ag.gelu(out)
-    return out, s_avg, s_heads
+        pre += z2
+    out, th = ag.gelu_parts(pre) if activation == "gelu" else (pre, None)
 
+    inputs = (z, w_q, w_k, w_v, w_proj)
+    d_s = []
 
-# -- public numpy API ----------------------------------------------------------
+    def backward(grad):
+        g = grad.reshape(-1, d_model)
+        if th is not None:
+            g = g * ag.gelu_slope(pre, th)
+        if w_proj.requires_grad:
+            w_proj._accumulate(merged.T @ g)
+        d_o = (g @ w_proj.data.T).reshape(b, t_len, heads, dh).transpose(2, 0, 1, 3)
+        d_qkv = np.empty((b, t_len, 3, heads, dh))
+        d_q, d_k, d_v = d_qkv.transpose(2, 3, 0, 1, 4)
+        np.matmul(np.swapaxes(p, -1, -2), d_o, out=d_v)
+        # Softmax backward on the key-major (Tk, H, B, Tq) layout.
+        p_km = np.moveaxis(p, -1, 0)
+        d_p = np.empty(p_km.shape)
+        np.matmul(v, np.swapaxes(d_o, -1, -2), out=np.moveaxis(d_p, 0, -2))
+        if d_s:  # s_avg's gradient, handed over by its node
+            d_p += np.moveaxis(d_s.pop().reshape(b, t_len, t_len), -1, 0)[:, None] * (1.0 / heads)
+        d_p -= np.sum(d_p * p_km, axis=0)
+        d_p *= p_km
+        d_l = np.moveaxis(d_p, 0, -1)
+        np.matmul(d_l, k, out=d_q)
+        np.matmul(np.swapaxes(d_l, -1, -2), q, out=d_k)
+        d_qkv = d_qkv.reshape(-1, 3 * d_model)
+        d_w = (z2.T @ d_qkv).reshape(d_model, 3, heads, dh).transpose(1, 2, 0, 3)
+        for w, d, f in zip((w_q, w_k, w_v), d_w, (scale, 1.0, 1.0)):
+            if w.requires_grad:
+                w._accumulate(d * f)
+        if z.requires_grad:
+            d_z = d_qkv @ w_qkv.T
+            if skip:
+                d_z += g
+            z._accumulate(d_z.reshape(z.shape))
 
+    req = any(x.requires_grad for x in inputs)
+    z_next = Tensor(out.reshape(z.shape), req, inputs, backward)
 
-def attention_scores(z, params: AttentionLayerParams, mask=None):
-    """Per-head attention matrices (H, T, T) and their average (T, T)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != params.d_model:
-        raise ValueError(f"input shape {z.shape} incompatible with d_model {params.d_model}")
-    s_heads, s_avg = scores_t(Tensor(z), Tensor(params.w_q), Tensor(params.w_k), mask)
-    return s_heads.data, s_avg.data
+    def hand_over(grad):
+        d_s.append(grad)
+        if z_next.grad is None:  # s_avg alone feeds the loss
+            z_next.grad = np.zeros_like(z_next.data)
 
-
-def layer_forward(
-    z_prev, params: AttentionLayerParams, skip: bool = True, activation: str = "identity", mask=None
-):
-    """Apply one layer to a T x d_model input; returns (z_next, s_avg)."""
-    z = np.asarray(z_prev, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != params.d_model:
-        raise ValueError(f"input shape {z.shape} incompatible with d_model {params.d_model}")
-    out, s_avg, _ = forward_t(
-        Tensor(z),
-        Tensor(params.w_q),
-        Tensor(params.w_k),
-        Tensor(params.w_v),
-        Tensor(params.w_proj),
-        skip,
-        activation,
-        mask,
-    )
-    return out.data, s_avg.data
+    s_node = Tensor(s_avg.reshape(lead + (t_len, t_len)), req, (z_next,), hand_over)
+    return z_next, s_node, np.moveaxis(p, 0, -3).reshape(lead + p.shape[:1] + p.shape[2:])

@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just the handful of operations the encoder needs: broadcasting
-arithmetic, (batched) matmul, row softmax, GELU, concatenation, squared
-error, and a custom node for the Geman low-rank penalty whose backward pass
-is the closed-form singular-vector expression.  Gradients are accumulated
+arithmetic, (batched) matmul, GELU, squared error, and a custom node for
+the Geman low-rank penalty whose backward pass is the closed-form
+singular-vector expression.  An attention layer is one node of its own
+(:func:`alorat.attention.forward_t`).  Gradients are accumulated
 by replaying the tape in reverse topological order.
 """
 
@@ -107,14 +108,6 @@ class Tensor:
 
         return Tensor(out_data, req, (self, other), backward)
 
-    def transpose_last(self):
-        out_data = np.swapaxes(self.data, -1, -2)
-
-        def backward(grad):
-            self._accumulate(np.swapaxes(grad, -1, -2))
-
-        return Tensor(out_data, self.requires_grad, (self,), backward)
-
     # -- tape ---------------------------------------------------------------
 
     def _accumulate(self, grad):
@@ -153,85 +146,26 @@ def as_tensor(x) -> Tensor:
 # -- functional ops ----------------------------------------------------------
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis; `mask` is a constant additive 0/-inf
-    array broadcast against `x`."""
-    a = x.data if mask is None else x.data + mask
-    s = linalg.softmax_last(a)
-
-    def backward(grad):
-        inner = np.sum(grad * s, axis=-1, keepdims=True)
-        x._accumulate(s * (grad - inner))
-
-    return Tensor(s, x.requires_grad, (x,), backward)
+def gelu_parts(x: np.ndarray):
+    """tanh-form GELU of an array, with the tanh term its slope reuses."""
+    th = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + th), th
 
 
-def expand_dims(x: Tensor, axis: int) -> Tensor:
-    out_data = np.expand_dims(x.data, axis)
-
-    def backward(grad):
-        x._accumulate(np.squeeze(grad, axis=axis))
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
-
-
-def moveaxis(x: Tensor, src: int, dst: int) -> Tensor:
-    out_data = np.moveaxis(x.data, src, dst)
-
-    def backward(grad):
-        x._accumulate(np.moveaxis(grad, dst, src))
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    in_shape = x.data.shape
-    out_data = x.data.reshape(shape)
-
-    def backward(grad):
-        x._accumulate(grad.reshape(in_shape))
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
-
-
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    out_data = np.mean(x.data, axis=axis)
-    n = x.data.shape[axis]
-
-    def backward(grad):
-        x._accumulate(np.repeat(np.expand_dims(grad / n, axis), n, axis=axis))
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
+def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`gelu_parts` at ``x``."""
+    du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU."""
-    u = _SQRT_2_OVER_PI * (x.data + 0.044715 * x.data**3)
-    th = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + th)
+    out_data, th = gelu_parts(x.data)
 
     def backward(grad):
-        du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x.data**2)
-        local = 0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th**2) * du
-        x._accumulate(grad * local)
+        x._accumulate(grad * gelu_slope(x.data, th))
 
     return Tensor(out_data, x.requires_grad, (x,), backward)
-
-
-def concat_last(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    req = any(p.requires_grad for p in parts)
-    widths = [p.data.shape[-1] for p in parts]
-
-    def backward(grad):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accumulate(grad[..., offset : offset + w])
-            offset += w
-
-    return Tensor(out_data, req, tuple(parts), backward)
 
 
 def sum_squares(x: Tensor) -> Tensor:

@@ -57,11 +57,15 @@ class TimeSeriesFrame:
             raise DataError(f"{len(self.names)} names for {v.shape[1]} series")
         if len(set(self.names)) != len(self.names):
             raise DataError("series names must be unique")
+        if not np.isfinite(v).all():
+            raise DataError("values must be finite (nan or inf found)")
         if self.labels is not None:
-            lab = np.asarray(self.labels).astype(np.int8)
+            lab = np.asarray(self.labels)
             if lab.shape != (v.shape[0],):
                 raise DataError("labels length must match the number of rows")
-            object.__setattr__(self, "labels", lab)
+            if not np.all((lab == 0) | (lab == 1)):
+                raise DataError("labels must be 0 or 1")
+            object.__setattr__(self, "labels", lab.astype(np.int8))
         if self.loc_truth is not None:
             self.loc_truth.validate_dims(v.shape[0], v.shape[1])
 

@@ -188,28 +188,36 @@ def pair_conv(x: np.ndarray, weights: Tensor, pairs: np.ndarray) -> Tensor:
     (d_model, 2, m) Tensor.  Output channel k at time t is
     sum over the channel's two series s and lags of
     weights[k, s, lag] * x[t + lag - (m-1)/2, pairs[k, s]].
+
+    The channels' distinct series are gathered and padded once; one GEMM
+    with a (series, m * d_model) mixing matrix gives every lag's term, and
+    lag ``j``'s column block enters the output shifted by ``j`` rows.
     """
     d_model, _, m = weights.data.shape
     half = (m - 1) // 2
     t_len = x.shape[-2]
-    pad = [(0, 0)] * (x.ndim - 2) + [(half, half), (0, 0)]
-    # Only the channels' own series are gathered and padded, so the
-    # temporaries scale with d_model, not with the number of input series.
-    sides = [np.pad(x[..., pairs[:, side]], pad) for side in (0, 1)]
-    segs = [[xp[..., lag : lag + t_len, :] for xp in sides] for lag in range(m)]
-    out = np.zeros(x.shape[:-1] + (d_model,))
-    for lag, (first, second) in enumerate(segs):
-        out += first * weights.data[:, 0, lag]
-        out += second * weights.data[:, 1, lag]
+    series, slot = np.unique(pairs, return_inverse=True)
+    slot, n_used = slot.reshape(pairs.shape), series.size
+    xp = np.zeros((x[..., 0, 0].size, t_len + 2 * half, n_used))
+    xp[:, half : half + t_len] = x[..., series].reshape(-1, t_len, n_used)
+    xp = xp.reshape(-1, n_used)
+    channels = np.arange(d_model)
+    mix = np.zeros((n_used, m, d_model))
+    for side in (0, 1):
+        mix[slot[:, side], :, channels] = weights.data[:, side, :]
+    full = (xp @ mix.reshape(n_used, -1)).reshape(-1, t_len + 2 * half, m, d_model)
+    out = full[:, 0:t_len, 0].copy()
+    for lag in range(1, m):
+        out += full[:, lag : lag + t_len, lag]
 
     def backward(grad):
-        gw = np.zeros_like(weights.data)
-        lead = tuple(range(grad.ndim - 1))
-        for lag, (first, second) in enumerate(segs):
-            gw[:, 0, lag] = np.sum(grad * first, axis=lead)
-            gw[:, 1, lag] = np.sum(grad * second, axis=lead)
-        weights._accumulate(gw)
+        d_full = np.zeros(full.shape)
+        for lag in range(m):
+            d_full[:, lag : lag + t_len, lag] = grad.reshape(-1, t_len, d_model)
+        d_mix = (xp.T @ d_full.reshape(xp.shape[0], -1)).reshape(mix.shape)
+        weights._accumulate(np.stack([d_mix[slot[:, side], :, channels] for side in (0, 1)], 1))
 
+    out = out.reshape(x.shape[:-1] + (d_model,))
     return Tensor(out, weights.requires_grad, (weights,), backward)
 
 

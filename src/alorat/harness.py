@@ -226,8 +226,8 @@ def cmd_score(resolved: dict) -> int:
 
 def cmd_localize(resolved: dict) -> int:
     out = _prepare_out(resolved, "localize")
-    params, cfg, _, h1, frame = _load_model(resolved)
-    series = model_mod.score_frame(frame, params, cfg, h1 if h1 is not None else 0.0)
+    params, cfg, _, _, frame = _load_model(resolved)
+    series = model_mod.score_frame(frame, params, cfg, None)
     weights = loc_mod.contribution_weights(params, cfg.skip, cfg.activation)
     series.las = loc_mod.las(
         weights.c,

@@ -181,10 +181,11 @@ class ModelParams:
 @dataclass
 class ScoreSeries:
     """Per-timestep detection outputs.  Timesteps before the first full
-    window are scored from the first window and flagged."""
+    window are scored from the first window and flagged.  The anomaly and
+    rank scores are None when scoring ran without h1."""
 
-    anomaly_score: np.ndarray
-    alora_score: np.ndarray
+    anomaly_score: np.ndarray | None
+    alora_score: np.ndarray | None
     residual_sq: np.ndarray
     residual_sq_per_series: np.ndarray
     from_first_window: np.ndarray
@@ -255,18 +256,18 @@ def _forward_t(x: np.ndarray, tensors: _ParamTensors, cfg: TrainConfig):
     mask = cfg.mask_matrix()
     z = embedding.pair_conv(x, tensors.kernel_weights, tensors.pairs)
     s_avgs = []
-    for w_q, w_k, w_v, w_proj in tensors.layers:
-        z, s_avg, _ = attention.forward_t(
-            z, w_q, w_k, w_v, w_proj, cfg.skip, cfg.activation, mask
-        )
+    for weights in tensors.layers:
+        z, s_avg, _ = attention.forward_t(z, *weights, cfg.skip, cfg.activation, mask)
         s_avgs.append(s_avg)
     recon = z @ tensors.w_out
     return recon, s_avgs
 
 
 def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
-    """Inference over a (B, T, d) stack: reconstructions, head-averaged
-    attention matrices per layer, and final-layer singular values (B, T)."""
+    """Inference over a (B, T, d) stack: reconstructions and the
+    head-averaged attention matrices (B, T, T) of every layer.  Callers that
+    read the final layer's singular values take them with
+    :func:`alorat.linalg.spectrum`."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != cfg.t_window or x.shape[2] != params.d_in:
         raise ValueError(
@@ -275,16 +276,15 @@ def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
         )
     tensors = _ParamTensors(params, requires_grad=False)
     recon, s_avgs = _forward_t(x, tensors, cfg)
-    final_sigma = np.linalg.svd(s_avgs[-1].data, compute_uv=False)
-    return recon.data, [s.data for s in s_avgs], final_sigma
+    return recon.data, [s.data for s in s_avgs]
 
 
 def forward(window, params: ModelParams, cfg: TrainConfig):
     """Forward one T x d window; returns (reconstruction, trace)."""
     x = np.asarray(window, dtype=np.float64)
-    recon, s_layers, sigma = batch_forward(x[None], params, cfg)
+    recon, s_layers = batch_forward(x[None], params, cfg)
     trace = attention.AttentionTrace(
-        s_layers=[s[0] for s in s_layers], final_sigma=sigma[0]
+        s_layers=[s[0] for s in s_layers], final_sigma=linalg.spectrum(s_layers[-1][0])
     )
     return recon[0], trace
 
@@ -295,12 +295,9 @@ def total_loss(batch, params: ModelParams, cfg: TrainConfig) -> LossTerms:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 2:
         x = x[None]
-    recon, s_layers, _ = batch_forward(x, params, cfg)
+    recon, s_layers = batch_forward(x, params, cfg)
     recon_term = float(np.sum((x - recon) ** 2))
-    reg = 0.0
-    for s in s_layers:
-        loss, _ = linalg.geman_batch(s, cfg.r)
-        reg += loss
+    reg = sum(linalg.geman_batch(s, cfg.r, grad=False)[0] for s in s_layers)
     reg_term = cfg.lambda_reg * reg
     return LossTerms(total=recon_term + reg_term, recon=recon_term, reg=reg_term)
 
@@ -341,17 +338,18 @@ def calibrate_h1(fourth, fifth) -> float:
 
 
 def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
-    idx = [i for i in (3, 4) if i < cfg.t_window]
-    if not idx:
-        idx = [cfg.t_window - 1]
+    """:func:`calibrate_h1` over the final layer's 4th and 5th singular
+    values on every window (the trailing ones when T < 5).  Each chunk's
+    largest value is made exact by a second :func:`linalg.spectrum` call
+    near it."""
+    idx = [i for i in (3, 4) if i < cfg.t_window] or [cfg.t_window - 1]
     sig_cols = []
     for chunk in _chunks(win, cfg):
-        _, _, sigma = batch_forward(chunk, params, cfg)
-        sig_cols.append(sigma[:, idx])
+        s_final = batch_forward(chunk, params, cfg)[1][-1]
+        sigma = linalg.spectrum(s_final)[:, idx]
+        sig_cols.append(linalg.spectrum(s_final, near=float(sigma.max()))[:, idx])
     traj = np.concatenate(sig_cols, axis=0)
-    if traj.shape[1] == 1:
-        return calibrate_h1(traj[:, 0], traj[:, 0])
-    return calibrate_h1(traj[:, 0], traj[:, 1])
+    return calibrate_h1(traj[:, 0], traj[:, -1])
 
 
 # Bytes of one chunk's (windows, heads, T, T) attention stack.  Chunks this
@@ -496,11 +494,15 @@ def anomaly_score(y_t, recon_t, score: int) -> float:
     return float(np.sum((y - r) ** 2)) * score
 
 
-def score_frame(frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h1: float) -> ScoreSeries:
+def score_frame(
+    frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h1: float | None
+) -> ScoreSeries:
     """Score every timestep: each t is the last row of its window; the
     first T-1 timesteps reuse the first window and are flagged.  Windows
     are forwarded chunk by chunk from a view of ``frame``, so memory is the
-    O(N·d) outputs plus one chunk."""
+    O(N·d) outputs plus one chunk.  With ``h1=None`` no spectrum is taken
+    and only the residuals are filled in (the anomaly and rank scores are
+    None)."""
     values = frame.values if hasattr(frame, "values") else np.asarray(frame, dtype=np.float64)
     n, d = values.shape
     t_len = cfg.t_window
@@ -513,26 +515,26 @@ def score_frame(frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h
     offset = 0
     first_recon = None
     for chunk in _chunks(win, cfg):
-        recon, _, sigma = batch_forward(chunk, params, cfg)
+        recon, s_layers = batch_forward(chunk, params, cfg)
         if offset == 0:
             first_recon = recon[0]
-        counts[offset : offset + chunk.shape[0]] = np.sum(sigma > h1, axis=1)
+        if h1 is not None:
+            sigma = linalg.spectrum(s_layers[-1], near=h1)
+            counts[offset : offset + chunk.shape[0]] = np.sum(sigma > h1, axis=1)
         res_per_series[offset + t_len - 1 : offset + t_len - 1 + chunk.shape[0]] = (
             chunk[:, -1, :] - recon[:, -1, :]
         ) ** 2
         offset += chunk.shape[0]
     res_per_series[: t_len - 1] = (values[: t_len - 1] - first_recon[: t_len - 1]) ** 2
 
-    alora = np.empty(n, dtype=np.int64)
-    alora[t_len - 1 :] = counts
-    alora[: t_len - 1] = counts[0]
     residual_sq = res_per_series.sum(axis=1)
     if not np.isfinite(residual_sq).all():
         raise NumericError("non-finite reconstruction residuals")
+    alora = None if h1 is None else np.concatenate([np.full(t_len - 1, counts[0]), counts])
     from_first = np.zeros(n, dtype=bool)
     from_first[: t_len - 1] = True
     return ScoreSeries(
-        anomaly_score=residual_sq * alora,
+        anomaly_score=None if alora is None else residual_sq * alora,
         alora_score=alora,
         residual_sq=residual_sq,
         residual_sq_per_series=res_per_series,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, linalg
+from .autograd import Tensor
 
 __all__ = [
     "VerificationReport",
@@ -105,14 +106,13 @@ def harvest_layers(layer_params, x_embedded, skip: bool, mask=None, activation: 
     Returns (layers, z_final) where `layers` feeds the unroll functions and
     `z_final` is the forward-pass reference output.
     """
-    z = np.asarray(x_embedded, dtype=np.float64)
+    z = Tensor(np.asarray(x_embedded, dtype=np.float64))
     layers = []
     for p in layer_params:
-        s_heads, _ = attention.attention_scores(z, p, mask)
-        head_maps = attention.per_head_value_maps(p)
-        layers.append(list(zip(s_heads, head_maps)))
-        z, _ = attention.layer_forward(z, p, skip=skip, activation=activation, mask=mask)
-    return layers, z
+        weights = (Tensor(p.w_q), Tensor(p.w_k), Tensor(p.w_v), Tensor(p.w_proj))
+        z, _, s_heads = attention.forward_t(z, *weights, skip, activation, mask)
+        layers.append(list(zip(s_heads, attention.per_head_value_maps(p))))
+    return layers, z.data
 
 
 def _error_report(mode, reference, candidate, term_count, tolerance, assertable=True):

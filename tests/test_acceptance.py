@@ -67,6 +67,13 @@ def _distinct_sigma_matrix(rng):
             return m
 
 
+def _after_w_q(params):
+    """forward_t's arguments after w_q: the other weights as constants,
+    skip on, identity activation, no mask (s_avg depends on none of them
+    but w_k)."""
+    return Tensor(params.w_k), Tensor(params.w_v), Tensor(params.w_proj), True, "identity", None
+
+
 def test_criterion_3_geman_gradient():
     start = time.time()
     rng = np.random.default_rng(33)
@@ -93,11 +100,11 @@ def test_criterion_3_geman_gradient():
         z = np.random.default_rng(200 + seed).normal(size=(6, 4))
 
         def loss_for(w_q_data):
-            _, s_avg = attention.scores_t(Tensor(z), Tensor(w_q_data), Tensor(params.w_k), None)
+            _, s_avg, _ = attention.forward_t(Tensor(z), Tensor(w_q_data), *_after_w_q(params))
             return float(ag.geman_penalty(s_avg, 1).data)
 
         w_q = Tensor(params.w_q.copy(), requires_grad=True)
-        _, s_avg = attention.scores_t(Tensor(z), w_q, Tensor(params.w_k), None)
+        _, s_avg, _ = attention.forward_t(Tensor(z), w_q, *_after_w_q(params))
         ag.geman_penalty(s_avg, 1).backward()
         h = 1e-6
         for fi in np.random.default_rng(300 + seed).choice(params.w_q.size, 6, replace=False):

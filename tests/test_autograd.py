@@ -1,17 +1,18 @@
-"""Finite-difference checks of every tape operation."""
+"""Finite-difference checks of every tape operation, the attention layer
+node included."""
 
 import numpy as np
 import pytest
 
+from alorat import attention, embedding, linalg
 from alorat import autograd as ag
 from alorat.autograd import Tensor
 
 
 def _sum_all(x: Tensor) -> Tensor:
-    """Scalar sum of all entries, expressed through existing tape ops."""
-    flat = ag.reshape(x, (1, x.data.size))
-    col = Tensor(np.ones((x.data.size, 1)))
-    return ag.reshape(flat @ col, (1,))
+    """Scalar sum of all entries, as a node of its own."""
+    return Tensor(x.data.sum(), x.requires_grad, (x,),
+                  lambda grad: x._accumulate(np.full(x.data.shape, grad)))
 
 
 def fd_check(build, arrays, rel_tol=1e-6, seed=0):
@@ -72,21 +73,43 @@ def test_matmul_batched_broadcast():
     fd_check(lambda a, b: a @ b, [rng.normal(size=(4, 3)), rng.normal(size=(5, 3, 6))])
 
 
+def _layer_inputs(seed, t_len=5, d_model=4, heads=2, batch=2):
+    rng = np.random.default_rng(seed)
+    p = attention.init_layer_params(d_model, heads, rng=rng)
+    return [rng.normal(size=(batch, t_len, d_model)), p.w_q, p.w_k, p.w_v, p.w_proj]
+
+
+def _layer(index, skip=True, activation="identity", mask=None, output=0):
+    """forward_t as a function of its ``index``-th input alone (z, w_q, w_k,
+    w_v, w_proj), returning z_next (output 0) or s_avg (output 1)."""
+
+    def build(inputs, varying):
+        args = [Tensor(a) for a in inputs]
+        args[index] = varying
+        return attention.forward_t(*args, skip, activation, mask)[output]
+
+    return build
+
+
 def test_transpose_last():
-    rng = np.random.default_rng(7)
-    fd_check(lambda a: a.transpose_last() @ a, [rng.normal(size=(3, 4))])
+    """The logits' key transpose lives inside forward_t: gradient into w_k."""
+    inputs = _layer_inputs(7)
+    build = _layer(2)
+    fd_check(lambda w_k: build(inputs, w_k), [inputs[2]])
 
 
 def test_softmax_rows():
-    rng = np.random.default_rng(8)
-    fd_check(lambda a: ag.softmax_rows(a), [rng.normal(size=(2, 4, 4))])
+    """Softmax backward inside forward_t: z through the head-averaged
+    attention alone."""
+    inputs = _layer_inputs(8)
+    build = _layer(0, output=1)
+    fd_check(lambda z: build(inputs, z), [inputs[0]])
 
 
 def test_softmax_rows_masked():
-    rng = np.random.default_rng(9)
-    mask = np.zeros((4, 4))
-    mask[np.triu_indices(4, k=1)] = -np.inf
-    fd_check(lambda a: ag.softmax_rows(a, mask), [rng.normal(size=(4, 4))])
+    inputs = _layer_inputs(9, t_len=4)
+    build = _layer(0, mask=linalg.causal_mask(4), output=1)
+    fd_check(lambda z: build(inputs, z), [inputs[0]])
 
 
 def test_gelu():
@@ -95,11 +118,10 @@ def test_gelu():
 
 
 def test_concat_last():
-    rng = np.random.default_rng(11)
-    fd_check(
-        lambda a, b: ag.concat_last([a, b]),
-        [rng.normal(size=(2, 3)), rng.normal(size=(2, 4))],
-    )
+    """The head merge inside forward_t: gradient into the per-head w_v."""
+    inputs = _layer_inputs(11)
+    build = _layer(3)
+    fd_check(lambda w_v: build(inputs, w_v), [inputs[3]])
 
 
 def test_sum_squares():
@@ -108,10 +130,38 @@ def test_sum_squares():
 
 
 def test_shape_ops():
-    rng = np.random.default_rng(13)
-    fd_check(lambda a: ag.reshape(ag.moveaxis(a, 0, 1), (3, 8)), [rng.normal(size=(2, 3, 4))])
-    fd_check(lambda a: ag.expand_dims(a, 1) @ a, [rng.normal(size=(3, 3))])
-    fd_check(lambda a: ag.mean_axis(a, 1), [rng.normal(size=(2, 4, 3))])
+    """The reshapes and the head mean inside forward_t: gradients into
+    w_proj and w_q through z_next, and into w_q through s_avg."""
+    inputs = _layer_inputs(13)
+    for index, output in ((4, 0), (1, 0), (1, 1)):
+        build = _layer(index, output=output)
+        fd_check(lambda w: build(inputs, w), [inputs[index]])
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("activation", ["identity", "gelu"])
+def test_attention_layer_node(mask, skip, activation):
+    """Every input of the fused layer node, through z_next and through
+    s_avg into the Geman penalty at once."""
+    inputs = _layer_inputs(16, t_len=6, d_model=6, heads=3)
+    weight = np.random.default_rng(17).normal(size=inputs[0].shape)
+    mk = linalg.causal_mask(6) if mask else None
+
+    def build(*tensors):
+        z_next, s_avg, _ = attention.forward_t(*tensors, skip, activation, mk)
+        return _sum_all(z_next * Tensor(weight)) + ag.geman_penalty(s_avg, 1)
+
+    fd_check(build, inputs, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("shape, m", [((2, 6, 5), 3), ((7, 5), 5), ((2, 2, 4, 5), 1)])
+def test_pair_conv(shape, m):
+    """The embedding's GEMM and its lag-shifted backward, into the kernels."""
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=shape)
+    pairs = np.array([[0, 3], [1, 2], [0, 4], [2, 3]])
+    fd_check(lambda w: embedding.pair_conv(x, w, pairs), [rng.normal(size=(4, 2, m))])
 
 
 def test_geman_penalty():

@@ -86,6 +86,36 @@ class TestCsv:
         assert loaded.by_time == truth.by_time
 
 
+class TestFrameBoundary:
+    """Every frame, however it is built, holds finite values and 0/1 labels."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.zeros((4, 2))
+        values[2, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            TimeSeriesFrame(values=values, names=("a", "b"))
+
+    @pytest.mark.parametrize("label", [300, 2, -1, 0.5, np.nan])
+    def test_label_not_binary_rejected(self, label):
+        labels = np.array([0, 1, label, 0], dtype=np.float64)
+        with pytest.raises(DataError, match="0 or 1"):
+            TimeSeriesFrame(values=np.zeros((4, 2)), names=("a", "b"), labels=labels)
+
+    def test_binary_labels_of_any_dtype_kept(self):
+        frame = TimeSeriesFrame(values=np.zeros((3, 1)), names=("a",),
+                                labels=np.array([True, False, True]))
+        assert frame.labels.dtype == np.int8
+        assert frame.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_normalizing_into_overflow_rejected(self):
+        # the mean of two finite values overflows to inf
+        frame = TimeSeriesFrame(values=np.array([[1.7e308], [1.7e308]]), names=("a",))
+        with pytest.raises(DataError, match="finite"):
+            data.normalize(frame)
+
+
 class TestNormalize:
     def test_fit_gives_zero_mean_unit_std(self):
         rng = np.random.default_rng(1)

@@ -417,6 +417,15 @@ class TestSimulateCommand:
         frame = data.load_csv(tmp_path / "o" / "sim.csv")
         assert np.argmax(frame.values[:, 1]) == 400
 
+    def test_non_finite_parameter_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "s.ini"
+        write_config(cfg, {"simulate": {"out": tmp_path / "o", "delta": "nan"}})
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "finite" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o" / "sim.csv").exists()
+
 
 class TestStarCheckCommand:
     def test_default_grid_passes(self, capsys):

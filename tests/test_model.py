@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_attention import layer_forward
 
-from alorat import attention, data, embedding, linalg, model
+from alorat import data, embedding, linalg, model
 from alorat.attention import AttentionLayerParams, AttentionTrace
 from alorat.data import DataError, TimeSeriesFrame
 from alorat.embedding import EmbeddingKernels
@@ -98,7 +99,7 @@ class TestForward:
         z = embedding.embed(window, params.kernels)
         mask = cfg.mask_matrix()
         for p, s_expected in zip(params.layers, trace.s_layers):
-            z, s_avg = attention.layer_forward(
+            z, s_avg = layer_forward(
                 z, p, skip=cfg.skip, activation=cfg.activation, mask=mask
             )
             np.testing.assert_allclose(s_avg, s_expected, atol=1e-10)
@@ -122,7 +123,7 @@ class TestTotalLoss:
         params = random_params(cfg, 3, seed=8)
         batch = np.random.default_rng(9).normal(size=(4, 8, 3))
         terms = model.total_loss(batch, params, cfg)
-        recon, _, _ = model.batch_forward(batch, params, cfg)
+        recon, _ = model.batch_forward(batch, params, cfg)
         assert terms.reg == 0.0
         assert terms.total == pytest.approx(np.sum((batch - recon) ** 2))
 
@@ -166,9 +167,54 @@ class TestCalibration:
                        max_epochs=1, k_pairs=1)
         result = model.train(frame, cfg)
         win = data.windows(frame.values, t_window, 1)
-        _, _, sigma = model.batch_forward(win, result.params, cfg)
+        _, s_layers = model.batch_forward(win, result.params, cfg)
+        sigma = np.linalg.svd(s_layers[-1], compute_uv=False)
         idx = [i for i in (3, 4) if i < t_window] or [t_window - 1]
         assert result.thresholds.h1 == np.max(sigma[:, idx])
+
+
+class TestSpectrum:
+    """Rank counts and h1 from linalg.spectrum agree with the SVD on the
+    final-layer attention of a trained model, whose tail singular values
+    the penalty has pushed to where eigvalsh(S^T S) loses its digits."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        rng = np.random.default_rng(40)
+        t = np.arange(700)
+        base = np.sin(2 * np.pi * t[:, None] / rng.uniform(20, 90, 4) + rng.uniform(0, 6, 4))
+        mix = np.eye(4) + 0.4 * rng.normal(size=(4, 4))
+        values = base @ mix + 0.3 * rng.normal(size=(700, 4))
+        frame, _ = data.normalize(TimeSeriesFrame(values=values, names=tuple("abcd")))
+        cfg = tiny_cfg(t_window=16, d_model=8, heads=2, lambda_reg=10.0, learning_rate=1e-2,
+                       max_epochs=4, patience=4, k_pairs=6, batch_size=64)
+        result = model.train(frame, cfg)
+        s_final = model.batch_forward(data.windows(frame.values, 16), result.params, cfg)[1][-1]
+        return result, s_final, np.linalg.svd(s_final, compute_uv=False)
+
+    def test_h1_agrees_with_svd(self, trained):
+        result, _, svd = trained
+        assert result.thresholds.h1 == pytest.approx(svd[:, 3:5].max(), rel=1e-9, abs=0)
+
+    def test_counts_equal_svd_counts(self, trained):
+        result, s_final, svd = trained
+        # the trained h1, the SVD-only range, and values sitting exactly on
+        # a singular value, where the eigvalsh estimate alone may fall on
+        # either side
+        cutoffs = [result.thresholds.h1, 1e-9, 1e-3, *svd[::97, 3], *svd[::89, 1]]
+        for h1 in cutoffs:
+            got = np.sum(linalg.spectrum(s_final, near=h1) > h1, axis=1)
+            np.testing.assert_array_equal(got, np.sum(svd > h1, axis=1), err_msg=f"h1={h1!r}")
+
+    def test_svd_below_cutoff(self, trained):
+        _, s_final, svd = trained
+        np.testing.assert_array_equal(linalg.spectrum(s_final, near=1e-9), svd)
+
+    def test_values_without_near(self, trained):
+        _, s_final, svd = trained
+        sigma = linalg.spectrum(s_final)
+        bound = 16 * np.finfo(float).eps * svd[:, :1] ** 2 / np.maximum(svd, 1e-300)
+        assert np.all(np.abs(sigma - svd) <= np.maximum(bound, 1e-7))
 
 
 class TestScores:

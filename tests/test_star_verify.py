@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from test_attention import layer_forward
+
 from alorat import attention, linalg, star_verify
 
 
@@ -107,7 +109,7 @@ class TestVerifyUnrolled:
         _, z_ref = star_verify.harvest_layers(params, x, skip=True, activation="gelu")
         z = x
         for p in params:
-            z, _ = attention.layer_forward(z, p, skip=True, activation="gelu")
+            z, _ = layer_forward(z, p, skip=True, activation="gelu")
         np.testing.assert_array_equal(z_ref, z)
 
 
