@@ -10,7 +10,7 @@ anomalous windows.
 
 import numpy as np
 
-from alorat import data, model
+from alorat import data, linalg, model
 
 SEED = 0
 
@@ -43,8 +43,9 @@ results = {lam: model.train(train_frame, cfg) for lam, cfg in configs.items()}
 print("\n=== final-layer attention spectrum on one normal window ===")
 window = train_frame.values[: configs[0.0].t_window]
 for lam in (0.0, 10.0):
-    _, trace = model.forward(window, results[lam].params, configs[lam])
-    print(f"lambda={lam:>4}: sigma = {np.array2string(trace.final_sigma[:8], precision=4)}")
+    _, s_layers = model.batch_forward(window[None], results[lam].params, configs[lam])
+    sigma = linalg.spectrum(s_layers[-1][0])
+    print(f"lambda={lam:>4}: sigma = {np.array2string(sigma[:8], precision=4)}")
 print("(the penalty spares the leading singular value and pushes the tail down)")
 
 print("\n=== rank score = count of singular values above the cutoff h1 ===")

@@ -4,7 +4,7 @@ attention spectrum, localization via closed-form input-to-output
 contribution weights, plus evaluation metrics, synthetic data, and a
 numerical verifier for the unrolled algebraic forms of the encoder."""
 
-from .linalg import SvdResult, svd, softmax_rows, spectrum
+from .linalg import spectrum
 from .embedding import (
     PairSelection,
     EmbeddingKernels,
@@ -13,7 +13,7 @@ from .embedding import (
     init_kernels,
     embed,
 )
-from .attention import AttentionLayerParams, AttentionTrace
+from .attention import AttentionLayerParams
 from .model import (
     ModelParams,
     TrainConfig,
@@ -21,14 +21,10 @@ from .model import (
     ScoreSeries,
     TrainResult,
     NumericError,
-    forward,
     total_loss,
     train,
     calibrate_h1,
-    alora_t_score,
-    anomaly_score,
     score_frame,
-    detect,
     save_checkpoint,
     load_checkpoint,
 )

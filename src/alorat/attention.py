@@ -18,7 +18,6 @@ from .autograd import Tensor
 
 __all__ = [
     "AttentionLayerParams",
-    "AttentionTrace",
     "init_layer_params",
     "forward_t",
     "effective_value_map",
@@ -57,15 +56,6 @@ class AttentionLayerParams:
     @property
     def d_model(self) -> int:
         return self.w_q.shape[1]
-
-
-@dataclass
-class AttentionTrace:
-    """Head-averaged attention matrix per layer plus the singular values of
-    the final layer's matrix, for one window."""
-
-    s_layers: list[np.ndarray]
-    final_sigma: np.ndarray
 
 
 def init_layer_params(

@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just the handful of operations the encoder needs: broadcasting
-arithmetic, (batched) matmul, GELU, squared error, and a custom node for
-the Geman low-rank penalty whose backward pass is the closed-form
+arithmetic, (batched) matmul, squared error, and a custom node for the
+Geman low-rank penalty whose backward pass is the closed-form
 singular-vector expression.  An attention layer is one node of its own
-(:func:`alorat.attention.forward_t`).  Gradients are accumulated
-by replaying the tape in reverse topological order.
+(:func:`alorat.attention.forward_t`), built on the GELU formula and slope
+defined here.  Gradients are accumulated by replaying the tape in reverse
+topological order.
 """
 
 from __future__ import annotations
@@ -156,16 +157,6 @@ def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Derivative of :func:`gelu_parts` at ``x``."""
     du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
     return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
-
-
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU."""
-    out_data, th = gelu_parts(x.data)
-
-    def backward(grad):
-        x._accumulate(grad * gelu_slope(x.data, th))
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
 
 
 def sum_squares(x: Tensor) -> Tensor:

@@ -45,7 +45,6 @@ _SCHEMAS = {
         "checkpoint": ("str", "!required"),
         "data": ("str", "!required"),
         "out": ("str", "!required"),
-        "seed": ("int", 0),
         "h2": ("float", None),
         "label_column": ("str", "label"),
     },
@@ -53,7 +52,6 @@ _SCHEMAS = {
         "checkpoint": ("str", "!required"),
         "data": ("str", "!required"),
         "out": ("str", "!required"),
-        "seed": ("int", 0),
         "top_k": ("int", None),
         "absolute": ("bool", False),
         "label_column": ("str", "label"),
@@ -62,7 +60,6 @@ _SCHEMAS = {
         "scores": ("str", "!required"),
         "data": ("str", "!required"),
         "out": ("str", "!required"),
-        "seed": ("int", 0),
         "las": ("str", None),
         "loc_truth": ("str", None),
         "t_window": ("int", 20),
@@ -229,13 +226,12 @@ def cmd_localize(resolved: dict) -> int:
     params, cfg, _, _, frame = _load_model(resolved)
     series = model_mod.score_frame(frame, params, cfg, None)
     weights = loc_mod.contribution_weights(params, cfg.skip, cfg.activation)
-    series.las = loc_mod.las(
+    las_matrix = loc_mod.las(
         weights.c,
         series.residual_sq_per_series,
         top_k=resolved["top_k"],
         absolute=resolved["absolute"],
     )
-    las_matrix = series.las
     names = list(frame.names)
     loc_mod.save_las_csv(out / "las.csv", las_matrix, names)
     loc_mod.save_matrix_csv(out / "c_matrix.csv", weights.c, names, names)
@@ -265,8 +261,17 @@ def _read_scores_csv(path: str) -> np.ndarray:
 def _read_las_csv(path: str) -> np.ndarray:
     with open(_require_file(path), "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        rows = [[float(c) for c in row] for row in reader]
+        header = next(reader, None) or []
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise DataError(f"{path}:{line_no}: bad LAS cell") from None
+            if len(row) != len(header):
+                raise DataError(f"{path}:{line_no}: {len(row)} cells, header has {len(header)}")
+    if not rows:
+        raise DataError(f"{path}: no rows")
     return np.array(rows)
 
 
@@ -416,13 +421,14 @@ def main(argv=None) -> int:
             "--config", default=None, required=(name != "star-check"),
             help="key=value config file with a [%s] section" % name,
         )
-        p.add_argument("--seed", type=int, default=None)
+        if "seed" in _SCHEMAS[name]:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
     try:
         resolved = _load_section(
-            args.config, args.command, {"seed": args.seed, "out": args.out}
+            args.config, args.command, {"seed": getattr(args, "seed", None), "out": args.out}
         )
         return _COMMANDS[args.command][0](resolved)
     except DataError as exc:

@@ -1,5 +1,5 @@
-"""Dense real-matrix kernels: SVD, the value-only spectrum, row-wise
-softmax, and the truncated Geman low-rank penalty with its closed-form
+"""Dense real-matrix kernels: the value-only spectrum, the softmax over the
+last axis, and the truncated Geman low-rank penalty with its closed-form
 subgradient.
 
 Everything here is pure and operates on float64 ``numpy`` arrays; the rest
@@ -8,55 +8,9 @@ of the package is built on these primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SvdResult", "svd", "softmax_rows", "geman_batch", "spectrum"]
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``m = u @ diag(sigma) @ v.T``.
-
-    ``u`` and ``v`` have orthonormal columns, ``sigma`` is descending and
-    non-negative.  Column signs are normalized (first nonzero entry of each
-    left singular vector is non-negative) so repeated calls on identical
-    input bits return identical bits.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
-
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def svd(m) -> SvdResult:
-    """Full (thin) SVD of a dense real matrix with deterministic signs."""
-    a = _as_matrix(m)
-    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
-    v = vh.T
-    # Sign convention: make the first nonzero entry of every left singular
-    # vector non-negative; flip u and v columns together so the product is
-    # unchanged.
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            u[:, i] = -col
-            v[:, i] = -v[:, i]
-    return SvdResult(u=u, sigma=sigma, v=v)
+__all__ = ["geman_batch", "spectrum"]
 
 
 def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.ndarray | None]:
@@ -120,21 +74,6 @@ def spectrum(s: np.ndarray, near: float | None = None) -> np.ndarray:
         if redo.any():
             sigma[redo] = np.linalg.svd(s[redo], compute_uv=False)
     return sigma
-
-
-def softmax_rows(m, mask=None) -> np.ndarray:
-    """Row-wise softmax; ``mask`` is an additive matrix of 0 / -inf entries
-    and masked positions come out exactly 0.  A fully masked row is an error
-    (the distribution would be undefined)."""
-    a = _as_matrix(m)
-    if mask is not None:
-        mk = np.asarray(mask, dtype=np.float64)
-        if mk.shape != a.shape:
-            raise ValueError(f"mask shape {mk.shape} != matrix shape {a.shape}")
-        if not np.all((mk == 0.0) | np.isneginf(mk)):
-            raise ValueError("mask entries must be 0 or -inf")
-        a = a + mk
-    return softmax_last(a)
 
 
 def softmax_last(a: np.ndarray) -> np.ndarray:

@@ -127,10 +127,7 @@ def best_f1_sweep(scores, labels) -> tuple[float, float, float, float]:
     smallest threshold.
     """
     thresholds, precision, recall, f1 = f1_sweep_curve(scores, labels)
-    best = 0
-    for i in range(1, len(f1)):
-        if f1[i] >= f1[best]:
-            best = i  # thresholds descend, so >= lands on the smallest
+    best = len(f1) - 1 - int(np.argmax(f1[::-1]))  # thresholds descend: last max is smallest
     return float(f1[best]), float(precision[best]), float(recall[best]), float(thresholds[best])
 
 

@@ -4,7 +4,8 @@ per-timestep anomaly scoring.
 
 The anomaly score at a timestep is the squared reconstruction residual
 multiplied by the count of final-layer attention singular values above the
-calibrated cutoff h1; the alarm threshold h2 turns scores into labels.
+calibrated cutoff h1.  The ``score`` command's alarm threshold h2 turns
+scores into labels.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ __all__ = [
     "LossTerms",
     "TrainResult",
     "init_params",
-    "forward",
     "batch_forward",
     "total_loss",
     "train",
     "calibrate_h1",
-    "alora_t_score",
-    "anomaly_score",
     "score_frame",
-    "detect",
     "save_checkpoint",
     "load_checkpoint",
     "parse_value",
@@ -114,11 +111,9 @@ def parse_value(kind: str, raw: str, key: str, error: type[ValueError] = ValueEr
 
 @dataclass
 class Thresholds:
-    """h1: singular-value cutoff for the rank score; h2: alarm cutoff on
-    the anomaly score."""
+    """h1: singular-value cutoff for the rank score."""
 
     h1: float | None = None
-    h2: float | None = None
 
     def __post_init__(self):
         if self.h1 is not None and self.h1 < 0:
@@ -189,8 +184,6 @@ class ScoreSeries:
     residual_sq: np.ndarray
     residual_sq_per_series: np.ndarray
     from_first_window: np.ndarray
-    las: np.ndarray | None = None
-    labels: np.ndarray | None = None
 
 
 @dataclass
@@ -277,16 +270,6 @@ def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
     tensors = _ParamTensors(params, requires_grad=False)
     recon, s_avgs = _forward_t(x, tensors, cfg)
     return recon.data, [s.data for s in s_avgs]
-
-
-def forward(window, params: ModelParams, cfg: TrainConfig):
-    """Forward one T x d window; returns (reconstruction, trace)."""
-    x = np.asarray(window, dtype=np.float64)
-    recon, s_layers = batch_forward(x[None], params, cfg)
-    trace = attention.AttentionTrace(
-        s_layers=[s[0] for s in s_layers], final_sigma=linalg.spectrum(s_layers[-1][0])
-    )
-    return recon[0], trace
 
 
 def total_loss(batch, params: ModelParams, cfg: TrainConfig) -> LossTerms:
@@ -387,7 +370,7 @@ def train(
     the optimized groups (subset of :data:`PARAM_GROUPS`), leaving the rest
     frozen.
     """
-    values = train_frame.values if hasattr(train_frame, "values") else np.asarray(train_frame)
+    values = train_frame.values
     if values.shape[0] < cfg.t_window:
         raise DataError(f"training length {values.shape[0]} shorter than window {cfg.t_window}")
     win = windows(values, cfg.t_window, stride=1)
@@ -480,20 +463,6 @@ def train(
 # -- scoring ----------------------------------------------------------------------
 
 
-def alora_t_score(trace: attention.AttentionTrace, h1: float) -> int:
-    """Number of final-layer singular values strictly above h1."""
-    return int(np.sum(trace.final_sigma > h1))
-
-
-def anomaly_score(y_t, recon_t, score: int) -> float:
-    """Squared residual norm times the rank score."""
-    y = np.asarray(y_t, dtype=np.float64)
-    r = np.asarray(recon_t, dtype=np.float64)
-    if y.shape != r.shape:
-        raise ValueError("observation/reconstruction shape mismatch")
-    return float(np.sum((y - r) ** 2)) * score
-
-
 def score_frame(
     frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h1: float | None
 ) -> ScoreSeries:
@@ -503,7 +472,7 @@ def score_frame(
     O(N·d) outputs plus one chunk.  With ``h1=None`` no spectrum is taken
     and only the residuals are filled in (the anomaly and rank scores are
     None)."""
-    values = frame.values if hasattr(frame, "values") else np.asarray(frame, dtype=np.float64)
+    values = frame.values
     n, d = values.shape
     t_len = cfg.t_window
     if n < t_len:
@@ -540,15 +509,6 @@ def score_frame(
         residual_sq_per_series=res_per_series,
         from_first_window=from_first,
     )
-
-
-def detect(frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, thresholds: Thresholds) -> ScoreSeries:
-    """Score a frame and raise alarms where the anomaly score exceeds h2."""
-    if thresholds.h1 is None or thresholds.h2 is None:
-        raise ValueError("detect needs complete thresholds (h1 and h2)")
-    series = score_frame(frame, params, cfg, thresholds.h1)
-    series.labels = (series.anomaly_score > thresholds.h2).astype(np.int8)
-    return series
 
 
 # -- checkpoint io ------------------------------------------------------------------

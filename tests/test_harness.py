@@ -342,6 +342,41 @@ class TestPipelineCommands:
         assert "affiliation_f1=1.0" in report
 
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [("a,b\n0.5,x\n", "las.csv:2:"), ("a,b\n0.5,0.1\n0.5\n", "las.csv:3:"),
+         ("a,b\n", "las.csv: no rows")],
+        ids=["non_numeric", "ragged", "header_only"],
+    )
+    def test_eval_bad_las_csv_is_data_error(self, tmp_path, capsys, body, where):
+        labels = np.array([0] * 20 + [1] * 10 + [0] * 20)
+        frame = data.TimeSeriesFrame(values=np.zeros((50, 2)), names=("a", "b"), labels=labels)
+        data.save_csv(frame, tmp_path / "truth.csv")
+        (tmp_path / "scores.csv").write_text(
+            "timestamp,anomaly_score\n" + "".join(f"{t},{labels[t]}.0\n" for t in range(50))
+        )
+        (tmp_path / "loc_truth.csv").write_text("timestep,series_index\n25,0\n")
+        (tmp_path / "las.csv").write_text(body)
+        cfg = tmp_path / "e.ini"
+        write_config(
+            cfg,
+            {
+                "eval": {
+                    "scores": tmp_path / "scores.csv",
+                    "data": tmp_path / "truth.csv",
+                    "las": tmp_path / "las.csv",
+                    "loc_truth": tmp_path / "loc_truth.csv",
+                    "out": tmp_path / "out",
+                    "t_window": 10,
+                }
+            },
+        )
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and where in err
+        assert len(err.splitlines()) == 1
+
+
 class TestDeploymentFlow:
     def test_scores_spike_on_simulated_anomaly(self, tmp_path):
         """Clean-train / shifted-score through the CLI: the anomaly-score
@@ -495,6 +530,14 @@ class TestConfigParsing:
         resolved = (out_dir / "resolved_config.ini").read_text()
         assert "seed = 77" in resolved
         assert (out_dir / "model.alora").exists()
+
+    @pytest.mark.parametrize("command", ["score", "localize", "eval"])
+    def test_seed_flag_only_where_read(self, workspace, command, capsys):
+        _, cfg = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_bad_type(self, workspace):
         tmp_path, _ = workspace

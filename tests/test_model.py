@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from test_attention import layer_forward
 
-from alorat import data, embedding, linalg, model
-from alorat.attention import AttentionLayerParams, AttentionTrace
+from alorat import data, embedding, harness, linalg, model
+from alorat.attention import AttentionLayerParams
 from alorat.data import DataError, TimeSeriesFrame
 from alorat.embedding import EmbeddingKernels
-from alorat.model import ModelParams, Thresholds, TrainConfig
+from alorat.model import ModelParams, TrainConfig
 
 
 def tiny_cfg(**over):
@@ -35,6 +35,13 @@ def random_params(cfg, d, seed):
     return params
 
 
+def forward_one(window, params, cfg):
+    """One T x d window through :func:`model.batch_forward`: its
+    reconstruction and every layer's head-averaged attention."""
+    recon, s_layers = model.batch_forward(window[None], params, cfg)
+    return recon[0], [s[0] for s in s_layers]
+
+
 def zero_params(cfg, d):
     kernels = EmbeddingKernels(
         n_series=d,
@@ -59,9 +66,9 @@ class TestForward:
     def test_zero_everything_reconstructs_zero(self):
         cfg = tiny_cfg()
         params = zero_params(cfg, 3)
-        recon, trace = model.forward(np.zeros((8, 3)), params, cfg)
+        recon, s_layers = forward_one(np.zeros((8, 3)), params, cfg)
         np.testing.assert_array_equal(recon, np.zeros((8, 3)))
-        assert len(trace.s_layers) == 2
+        assert len(s_layers) == 2
 
     def test_identity_pipeline(self):
         # one channel per series through a lag-0 impulse, zero value path,
@@ -82,11 +89,11 @@ class TestForward:
         )
         params = ModelParams(kernels=kernels, layers=[layer], w_out=np.eye(2))
         window = np.random.default_rng(2).normal(size=(8, 2))
-        recon, trace = model.forward(window, params, cfg)
+        recon, s_layers = forward_one(window, params, cfg)
         np.testing.assert_allclose(recon, window, atol=1e-12)
         # with perfect reconstruction the objective is the penalty term alone
         terms = model.total_loss(window, params, cfg)
-        reg = cfg.lambda_reg * linalg.geman_batch(trace.s_layers[0][None], cfg.r)[0]
+        reg = cfg.lambda_reg * linalg.geman_batch(s_layers[0][None], cfg.r)[0]
         assert terms.recon == pytest.approx(0.0, abs=1e-20)
         assert terms.total == pytest.approx(reg, rel=1e-12, abs=1e-15)
 
@@ -94,27 +101,28 @@ class TestForward:
         cfg = tiny_cfg(mask="causal")
         params = random_params(cfg, 3, seed=5)
         window = np.random.default_rng(6).normal(size=(8, 3))
-        recon, trace = model.forward(window, params, cfg)
+        recon, s_layers = forward_one(window, params, cfg)
 
         z = embedding.embed(window, params.kernels)
         mask = cfg.mask_matrix()
-        for p, s_expected in zip(params.layers, trace.s_layers):
+        for p, s_expected in zip(params.layers, s_layers):
             z, s_avg = layer_forward(
                 z, p, skip=cfg.skip, activation=cfg.activation, mask=mask
             )
             np.testing.assert_allclose(s_avg, s_expected, atol=1e-10)
         np.testing.assert_allclose(recon, z @ params.w_out, atol=1e-10)
         np.testing.assert_allclose(
-            trace.final_sigma, linalg.svd(trace.s_layers[-1]).sigma, atol=1e-10
+            linalg.spectrum(s_layers[-1]), np.linalg.svd(s_layers[-1], compute_uv=False),
+            atol=1e-10,
         )
 
     def test_shape_mismatch(self):
         cfg = tiny_cfg()
         params = random_params(cfg, 3, seed=7)
         with pytest.raises(ValueError):
-            model.forward(np.zeros((8, 4)), params, cfg)
+            forward_one(np.zeros((8, 4)), params, cfg)
         with pytest.raises(ValueError):
-            model.forward(np.zeros((9, 3)), params, cfg)
+            forward_one(np.zeros((9, 3)), params, cfg)
 
 
 class TestTotalLoss:
@@ -136,9 +144,9 @@ class TestTotalLoss:
         expected_recon = 0.0
         expected_reg = 0.0
         for window in batch:
-            recon, trace = model.forward(window, params, cfg)
+            recon, s_layers = forward_one(window, params, cfg)
             expected_recon += np.sum((window - recon) ** 2)
-            for s in trace.s_layers:
+            for s in s_layers:
                 expected_reg += cfg.lambda_reg * linalg.geman_batch(s[None], cfg.r)[0]
         assert terms.recon == pytest.approx(expected_recon, rel=1e-10)
         assert terms.reg == pytest.approx(expected_reg, rel=1e-10)
@@ -217,45 +225,59 @@ class TestSpectrum:
         assert np.all(np.abs(sigma - svd) <= np.maximum(bound, 1e-7))
 
 
+def rank_count(s, h1):
+    """Count of singular values above h1, as :func:`model.score_frame`
+    takes it."""
+    return int(np.sum(linalg.spectrum(s, near=h1) > h1))
+
+
 class TestScores:
     def test_alora_score_identity_attention(self):
-        trace = AttentionTrace(s_layers=[np.eye(8)], final_sigma=np.ones(8))
-        assert model.alora_t_score(trace, 0.5) == 8
+        assert rank_count(np.eye(8), 0.5) == 8
 
     def test_alora_score_rank_one(self):
         sigma = np.zeros(8)
         sigma[0] = 1.0
-        trace = AttentionTrace(s_layers=[], final_sigma=sigma)
-        assert model.alora_t_score(trace, 0.5) == 1
+        assert rank_count(np.diag(sigma), 0.5) == 1
 
     def test_alora_score_monotone_in_h1(self):
-        sigma = np.array([1.0, 0.6, 0.3, 0.05])
-        trace = AttentionTrace(s_layers=[], final_sigma=sigma)
-        counts = [model.alora_t_score(trace, h) for h in (0.0, 0.1, 0.5, 0.9, 2.0)]
+        s = np.diag([1.0, 0.6, 0.3, 0.05])
+        counts = [rank_count(s, h) for h in (0.0, 0.1, 0.5, 0.9, 2.0)]
         assert counts == sorted(counts, reverse=True)
 
     def test_alora_score_recount_oracle(self):
         cfg = tiny_cfg()
         params = random_params(cfg, 3, seed=12)
         window = np.random.default_rng(13).normal(size=(8, 3))
-        _, trace = model.forward(window, params, cfg)
+        frame = TimeSeriesFrame(values=window, names=("a", "b", "c"))
         h1 = 0.01
-        recount = int(np.sum(linalg.svd(trace.s_layers[-1]).sigma > h1))
-        assert model.alora_t_score(trace, h1) == recount
+        _, s_layers = forward_one(window, params, cfg)
+        recount = int(np.sum(np.linalg.svd(s_layers[-1], compute_uv=False) > h1))
+        assert model.score_frame(frame, params, cfg, h1).alora_score[-1] == recount
 
     def test_anomaly_score(self):
-        assert model.anomaly_score([1.0, 2.0], [1.0, 2.0], 5) == 0.0
-        assert model.anomaly_score([1.0, 1.0], [0.0, 0.0], 3) == pytest.approx(6.0)
+        # zero parameters: zero reconstruction and uniform attention, whose
+        # one singular value above 0.5 is 1; so the score is the row's
+        # squared norm
+        cfg = tiny_cfg()
+        params = zero_params(cfg, 2)
+        zeros = TimeSeriesFrame(values=np.zeros((10, 2)), names=("a", "b"))
+        assert np.all(model.score_frame(zeros, params, cfg, 0.5).anomaly_score == 0.0)
+        ones = TimeSeriesFrame(values=np.ones((10, 2)), names=("a", "b"))
+        np.testing.assert_allclose(model.score_frame(ones, params, cfg, 0.5).anomaly_score, 2.0)
 
     def test_anomaly_score_nonnegative_and_zero_iff(self):
         rng = np.random.default_rng(14)
+        cfg = tiny_cfg()
+        params = random_params(cfg, 3, seed=14)
         for _ in range(20):
-            y = rng.normal(size=4)
-            r = rng.normal(size=4)
-            score = int(rng.integers(0, 5))
-            val = model.anomaly_score(y, r, score)
-            assert val >= 0.0
-            assert (val == 0.0) == (np.allclose(y, r) or score == 0)
+            frame = TimeSeriesFrame(values=rng.normal(size=(10, 3)), names=("a", "b", "c"))
+            series = model.score_frame(frame, params, cfg, float(rng.choice([0.01, 1.0, 3.0])))
+            val = series.anomaly_score
+            assert np.all(val >= 0.0)
+            np.testing.assert_array_equal(
+                val == 0.0, (series.residual_sq == 0.0) | (series.alora_score == 0)
+            )
 
 
 class TestScoreFrame:
@@ -266,23 +288,32 @@ class TestScoreFrame:
         frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
         series = model.score_frame(frame, params, cfg, h1=0.01)
 
+        def expected(window, row, t):
+            recon, s_layers = forward_one(window, params, cfg)
+            count = np.sum(np.linalg.svd(s_layers[-1], compute_uv=False) > 0.01)
+            return np.sum((values[t] - recon[row]) ** 2) * count
+
         t_len = cfg.t_window
         for t in (t_len - 1, t_len + 3, 19):
             window = values[t - t_len + 1 : t + 1]
-            recon, trace = model.forward(window, params, cfg)
-            expected = model.anomaly_score(
-                values[t], recon[-1], model.alora_t_score(trace, 0.01)
-            )
-            assert series.anomaly_score[t] == pytest.approx(expected, rel=1e-10)
+            assert series.anomaly_score[t] == pytest.approx(expected(window, -1, t), rel=1e-10)
         # early timesteps come from the first window and are flagged
-        recon0, trace0 = model.forward(values[:t_len], params, cfg)
         for t in range(t_len - 1):
-            expected = model.anomaly_score(
-                values[t], recon0[t], model.alora_t_score(trace0, 0.01)
+            assert series.anomaly_score[t] == pytest.approx(
+                expected(values[:t_len], t, t), rel=1e-10
             )
-            assert series.anomaly_score[t] == pytest.approx(expected, rel=1e-10)
             assert series.from_first_window[t]
         assert not series.from_first_window[t_len - 1 :].any()
+
+    def test_anomaly_is_residual_times_rank(self):
+        cfg = tiny_cfg()
+        params = random_params(cfg, 3, seed=15)
+        frame = TimeSeriesFrame(values=np.random.default_rng(16).normal(size=(40, 3)),
+                                names=("a", "b", "c"))
+        series = model.score_frame(frame, params, cfg, h1=0.01)
+        product = series.residual_sq * series.alora_score
+        assert series.anomaly_score.tobytes() == product.tobytes()
+        assert np.all(series.anomaly_score >= 0.0)
 
     def test_too_short(self):
         cfg = tiny_cfg()
@@ -349,27 +380,30 @@ class TestChunking:
 
 
 class TestDetect:
-    def _series(self):
+    """The ``score`` command is the one place that turns anomaly scores into
+    alarms with h2."""
+
+    def _labels(self, tmp_path, h2):
         cfg = tiny_cfg()
-        params = random_params(cfg, 3, seed=18)
         values = np.random.default_rng(19).normal(size=(30, 3))
-        frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
-        return frame, params, cfg
+        params, selection = model.init_params(values, cfg, np.random.default_rng(18))
+        model.save_checkpoint(tmp_path / "model.alora", params, cfg, selection, h1=0.01)
+        data.save_csv(TimeSeriesFrame(values=values, names=("a", "b", "c")),
+                      tmp_path / "data.csv")
+        (tmp_path / "score.ini").write_text(
+            f"[score]\ncheckpoint = {tmp_path / 'model.alora'}\n"
+            f"data = {tmp_path / 'data.csv'}\nout = {tmp_path / 'out'}\nh2 = {h2!r}\n"
+        )
+        assert harness.main(["score", "--config", str(tmp_path / "score.ini")]) == 0
+        lines = (tmp_path / "out" / "scores.csv").read_text().splitlines()
+        assert lines[0].endswith(",label") and len(lines) == 31
+        return np.array([int(line.rsplit(",", 1)[1]) for line in lines[1:]])
 
-    def test_infinite_threshold_silences(self):
-        frame, params, cfg = self._series()
-        out = model.detect(frame, params, cfg, Thresholds(h1=0.01, h2=np.inf))
-        assert out.labels.sum() == 0
+    def test_infinite_threshold_silences(self, tmp_path):
+        assert self._labels(tmp_path, np.inf).sum() == 0
 
-    def test_negative_threshold_alarms_everywhere(self):
-        frame, params, cfg = self._series()
-        out = model.detect(frame, params, cfg, Thresholds(h1=0.01, h2=-1.0))
-        assert out.labels.sum() == frame.n
-
-    def test_requires_complete_thresholds(self):
-        frame, params, cfg = self._series()
-        with pytest.raises(ValueError):
-            model.detect(frame, params, cfg, Thresholds(h1=0.01))
+    def test_negative_threshold_alarms_everywhere(self, tmp_path):
+        assert self._labels(tmp_path, -1.0).sum() == 30
 
     def test_scores_spike_inside_simulated_shift(self, pinned_sim_run):
         _, _, _, series = pinned_sim_run
@@ -394,6 +428,23 @@ class TestTrain:
         frame = TimeSeriesFrame(values=np.zeros((4, 3)), names=("a", "b", "c"))
         with pytest.raises(DataError):
             model.train(frame, cfg)
+
+    def test_bare_array_is_rejected(self, monkeypatch):
+        # A bare array would skip the frame's finite check, and the nan
+        # below would surface as a NumericError from the SVD.
+        cfg = tiny_cfg()
+        values = np.random.default_rng(24).normal(size=(200, 3))
+        values[50, 1] = np.nan
+        params = random_params(cfg, 3, seed=24)
+
+        def no_numeric_work(*args, **kwargs):
+            raise AssertionError("windowed a bare array")
+
+        monkeypatch.setattr(model, "windows", no_numeric_work)
+        with pytest.raises(AttributeError):
+            model.train(values, cfg)
+        with pytest.raises(AttributeError):
+            model.score_frame(values, params, cfg, h1=0.01)
 
     def test_loss_decreases_and_h1_set(self):
         rng = np.random.default_rng(20)
