@@ -1,7 +1,9 @@
-"""Frames, CSV ingestion, preprocessing, and synthetic generators.
+"""Frames, the CSV table format, preprocessing, and synthetic generators.
 
 A :class:`TimeSeriesFrame` is an N x d float64 value matrix with unique
 series names and optional per-step binary labels plus localization truth.
+Every CSV the package reads or writes goes through :func:`read_table` and
+:func:`write_table`.
 Preprocessing covers train-fitted z-normalization, block-mean downsampling,
 and overlapping window extraction.  The synthetic side provides a seeded
 bivariate mean-shift generator and a small additive anomaly injector
@@ -11,16 +13,18 @@ bivariate mean-shift generator and a small additive anomaly injector
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .metrics import LocalizationTruth
-
 __all__ = [
     "DataError",
+    "LocalizationTruth",
     "TimeSeriesFrame",
     "NormStats",
+    "read_table",
+    "write_table",
     "load_csv",
     "save_csv",
     "load_loc_truth",
@@ -34,10 +38,42 @@ __all__ = [
 ]
 
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst", "trend")
+TRUTH_HEADER = ["timestep", "series_index"]
+# Tables are converted between text and float64 this many rows at a time,
+# so the per-cell Python objects of a conversion never span a whole file.
+TABLE_CHUNK_ROWS = 1024
 
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+@dataclass
+class LocalizationTruth:
+    """Ground truth for localization: the set of anomalous series indices
+    at each anomalous timestep.  Timesteps without an entry are normal."""
+
+    by_time: dict[int, frozenset[int]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.by_time = {int(t): frozenset(int(i) for i in g) for t, g in self.by_time.items()}
+        for t, g in self.by_time.items():
+            if not g:
+                raise DataError(f"empty truth set at timestep {t}")
+
+    def validate_dims(self, n: int, d: int):
+        for t, g in self.by_time.items():
+            if not 0 <= t < n:
+                raise DataError(f"truth timestep {t} out of range [0, {n})")
+            if min(g) < 0 or max(g) >= d:
+                raise DataError(f"truth series index out of range [0, {d}) at t={t}")
+
+    def segment_set(self, segment) -> frozenset[int]:
+        """Union of truth sets over the half-open ``segment``'s timesteps."""
+        out: set[int] = set()
+        for t in range(segment.start, segment.end):
+            out |= self.by_time.get(t, frozenset())
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -91,96 +127,109 @@ class NormStats:
         return self.std == 0.0
 
 
-# -- CSV in/out -----------------------------------------------------------------
+# -- CSV tables ------------------------------------------------------------------
+
+
+def read_table(path):
+    """Read a rectangular numeric CSV with a header row.
+
+    Returns (header, N x columns float64 array).  A ragged row, a cell that
+    ``float`` rejects and a non-finite cell are each a :class:`DataError`
+    naming ``path:line``; so are an empty file and a header without rows.
+    """
+    blocks = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        first_line = 2
+        while rows := list(itertools.islice(reader, TABLE_CHUNK_ROWS)):
+            try:
+                block = np.array(rows, dtype=np.float64)
+            except ValueError:
+                block = None
+            if block is None or block.shape[1] != len(header):
+                for line_no, row in enumerate(rows, start=first_line):
+                    if len(row) != len(header):
+                        raise DataError(
+                            f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+                    try:
+                        list(map(float, row))
+                    except ValueError as exc:
+                        raise DataError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                raise DataError(f"{path}:{first_line + int(np.argmin(finite))}: non-finite cell")
+            blocks.append(block)
+            first_line += len(rows)
+    if not blocks:
+        raise DataError(f"{path}: no rows")
+    return header, np.concatenate(blocks)
+
+
+def write_table(path, header, columns):
+    """Write a header row, then one row per index of the equal-length
+    ``columns``.  Floats are written with their round-trip ``repr`` and
+    integers with ``str``, so :func:`read_table` restores them bit-exactly."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
+            stop = start + TABLE_CHUNK_ROWS
+            writer.writerows(zip(*(c[start:stop].tolist() for c in columns)))
 
 
 def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
-    """Load a rectangular numeric CSV with a header row.
+    """Load a :func:`read_table` CSV as a frame.
 
     A column whose name equals ``label_column`` (default "label") becomes the
     binary label sequence instead of a value series; a label cell that is
     not 0 or 1 is a :class:`DataError` naming its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        label_idx = None
-        if label_column is not None and label_column in header:
-            label_idx = header.index(label_column)
-        names = [h for i, h in enumerate(header) if i != label_idx]
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
-            try:
-                parsed = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
-            if label_idx is not None:
-                label = parsed.pop(label_idx)
-                if not np.isfinite(label):
-                    raise DataError(f"{path}:{line_no}: non-finite label {label}")
-                if label not in (0.0, 1.0):
-                    raise DataError(f"{path}:{line_no}: label {label:g} is not 0 or 1")
-                labels.append(int(label))
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    values = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite cell")
-    return TimeSeriesFrame(
-        values=values,
-        names=tuple(names),
-        labels=np.array(labels, dtype=np.int8) if label_idx is not None else None,
-    )
+    header, values = read_table(path)
+    labels = None
+    if label_column is not None and label_column in header:
+        idx = header.index(label_column)
+        labels = values[:, idx]
+        bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+        if bad.size:
+            raise DataError(f"{path}:{bad[0] + 2}: label {labels[bad[0]]:g} is not 0 or 1")
+        values = np.delete(values, idx, axis=1)
+        del header[idx]
+    return TimeSeriesFrame(values=values, names=tuple(header), labels=labels)
 
 
 def save_csv(frame: TimeSeriesFrame, path):
-    """Write values (and labels, when present) with a header row.  Floats are
-    written with a round-trip representation, so save -> load is bit-exact."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(frame.names)
-        if frame.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(frame.n):
-            cells = [repr(float(x)) for x in frame.values[i]]
-            if frame.labels is not None:
-                cells.append(str(int(frame.labels[i])))
-            writer.writerow(cells)
+    """Write values (and labels, when present) with a header row; save ->
+    load is bit-exact."""
+    header, columns = list(frame.names), list(frame.values.T)
+    if frame.labels is not None:
+        header.append("label")
+        columns.append(frame.labels)
+    write_table(path, header, columns)
 
 
 def save_loc_truth(truth: LocalizationTruth, path):
     """Companion CSV of (timestep, series_index) rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestep,series_index\n")
-        for t in sorted(truth.by_time):
-            for i in sorted(truth.by_time[t]):
-                fh.write(f"{t},{i}\n")
+    rows = [(t, i) for t in sorted(truth.by_time) for i in sorted(truth.by_time[t])]
+    write_table(path, TRUTH_HEADER, [[t for t, _ in rows], [i for _, i in rows]])
 
 
 def load_loc_truth(path) -> LocalizationTruth:
+    """Read a :func:`save_loc_truth` CSV; every cell must be a non-negative
+    integer."""
+    header, cells = read_table(path)
+    if header != TRUTH_HEADER:
+        raise DataError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
+    bad = np.flatnonzero(((cells < 0) | (cells != np.floor(cells))).any(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 2}: cells must be non-negative integers")
     by_time: dict[int, set[int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if line_no == 1 and row and row[0].strip().lower() == "timestep":
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{line_no}: expected 2 cells, got {len(row)}")
-            try:
-                t, i = int(row[0]), int(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: non-integer cell") from None
-            by_time.setdefault(t, set()).add(i)
-    return LocalizationTruth(by_time={t: frozenset(g) for t, g in by_time.items()})
+    for t, i in cells.astype(np.int64).tolist():
+        by_time.setdefault(t, set()).add(i)
+    return LocalizationTruth(by_time=by_time)
 
 
 # -- preprocessing ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .data import DataError
+from .data import DataError, write_table
 
 __all__ = [
     "PairSelection",
@@ -41,24 +41,9 @@ class PairSelection:
             raise ValueError("pairs and scores must align")
 
     def save(self, path):
-        """One `i,j,score` line per pair."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for (i, j), score in zip(self.pairs, self.scores):
-                fh.write(f"{i},{j},{repr(float(score))}\n")
-
-    @classmethod
-    def load(cls, path) -> "PairSelection":
-        pairs = []
-        scores = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                i, j, score = line.split(",")
-                pairs.append((int(i), int(j)))
-                scores.append(float(score))
-        return cls(pairs=tuple(pairs), scores=np.array(scores))
+        """An `i,j,score` header, then one row per pair."""
+        write_table(path, ["i", "j", "score"],
+                    [[i for i, _ in self.pairs], [j for _, j in self.pairs], self.scores])
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -163,13 +162,9 @@ def cmd_train(resolved: dict) -> int:
         norm_stats=stats,
     )
     result.selection.save(out / "pairs.txt")
-    with open(out / "loss_history.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,train_total,train_recon,train_reg,val_total\n")
-        for row in result.history:
-            fh.write(
-                f"{row.epoch},{row.train_total!r},{row.train_recon!r},"
-                f"{row.train_reg!r},{row.val_total!r}\n"
-            )
+    fields = [f.name for f in dataclasses.fields(model_mod.EpochStats)]
+    data_mod.write_table(out / "loss_history.csv", fields,
+                         [[getattr(row, f) for row in result.history] for f in fields])
     print(f"trained {cfg.layers} layer(s) for {len(result.history)} epoch(s); "
           f"h1={result.thresholds.h1!r}")
     print(f"checkpoint: {out / 'model.alora'}")
@@ -195,21 +190,12 @@ def cmd_score(resolved: dict) -> int:
         raise ConfigError("checkpoint has no calibrated h1; re-run training")
     series = model_mod.score_frame(frame, params, cfg, h1)
     h2 = resolved["h2"]
-    labels = None
+    header = ["timestamp", "anomaly_score", "alora_t_score", "residual_sq"]
+    columns = [np.arange(frame.n), series.anomaly_score, series.alora_score, series.residual_sq]
     if h2 is not None:
-        labels = (series.anomaly_score > h2).astype(np.int8)
-
-    with open(out / "scores.csv", "w", encoding="utf-8", newline="") as fh:
-        header = "timestamp,anomaly_score,alora_t_score,residual_sq"
-        fh.write(header + (",label\n" if labels is not None else "\n"))
-        for t in range(frame.n):
-            row = (
-                f"{t},{float(series.anomaly_score[t])!r},{int(series.alora_score[t])},"
-                f"{float(series.residual_sq[t])!r}"
-            )
-            if labels is not None:
-                row += f",{labels[t]}"
-            fh.write(row + "\n")
+        header.append("label")
+        columns.append((series.anomaly_score > h2).astype(np.int8))
+    data_mod.write_table(out / "scores.csv", header, columns)
     with open(out / "scores.meta.txt", "w", encoding="utf-8") as fh:
         fh.write(f"t_window={cfg.t_window}\n")
         fh.write(f"h1={h1!r}\n")
@@ -242,42 +228,12 @@ def cmd_localize(resolved: dict) -> int:
     return 0
 
 
-def _read_scores_csv(path: str) -> np.ndarray:
-    with open(_require_file(path), "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "anomaly_score" not in header:
-            raise DataError(f"{path}: expected a scores CSV with an anomaly_score column")
-        idx = header.index("anomaly_score")
-        values = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                values.append(float(row[idx]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{line_no}: bad anomaly_score cell") from None
-    return np.array(values)
-
-
-def _read_las_csv(path: str) -> np.ndarray:
-    with open(_require_file(path), "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad LAS cell") from None
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: {len(row)} cells, header has {len(header)}")
-    if not rows:
-        raise DataError(f"{path}: no rows")
-    return np.array(rows)
-
-
 def cmd_eval(resolved: dict) -> int:
     out = _prepare_out(resolved, "eval")
-    scores = _read_scores_csv(resolved["scores"])
+    header, table = data_mod.read_table(_require_file(resolved["scores"]))
+    if "anomaly_score" not in header:
+        raise DataError(f"{resolved['scores']}: expected a scores CSV with an anomaly_score column")
+    scores = table[:, header.index("anomaly_score")]
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     if frame.labels is None:
         raise DataError(f"{resolved['data']}: no ground-truth label column")
@@ -311,27 +267,18 @@ def cmd_eval(resolved: dict) -> int:
     }
 
     if resolved["las"] is not None and resolved["loc_truth"] is not None:
-        las_matrix = _read_las_csv(resolved["las"])
+        _, las_matrix = data_mod.read_table(_require_file(resolved["las"]))
+        if las_matrix.shape != (frame.n, frame.d):
+            raise DataError(f"{resolved['las']}: {las_matrix.shape[0]} x {las_matrix.shape[1]} "
+                            f"LAS matrix for {frame.n} x {frame.d} data")
         truth = data_mod.load_loc_truth(_require_file(resolved["loc_truth"]))
-        p_values = [int(p) for p in resolved["p_percents"].split(",") if p.strip()]
-        ranked_cache = {
-            t: loc_mod.rank_series(las_matrix[t], las_matrix.shape[1])
-            for t in truth.by_time
-            if t < las_matrix.shape[0]
-        }
-        for p in p_values:
-            hrs = [
-                metrics_mod.hit_rate(ranked_cache[t], g, p)
-                for t, g in truth.by_time.items()
-                if t in ranked_cache
-            ]
-            ndcgs = [
-                metrics_mod.ndcg(ranked_cache[t], g, p)
-                for t, g in truth.by_time.items()
-                if t in ranked_cache
-            ]
-            report[f"hit_rate_at_{p}"] = float(np.mean(hrs))
-            report[f"ndcg_at_{p}"] = float(np.mean(ndcgs))
+        truth.validate_dims(frame.n, frame.d)
+        ranked = {t: loc_mod.rank_series(las_matrix[t], frame.d) for t in truth.by_time}
+        for p in (int(p) for p in resolved["p_percents"].split(",") if p.strip()):
+            report[f"hit_rate_at_{p}"] = float(np.mean(
+                [metrics_mod.hit_rate(ranked[t], g, p) for t, g in truth.by_time.items()]))
+            report[f"ndcg_at_{p}"] = float(np.mean(
+                [metrics_mod.ndcg(ranked[t], g, p) for t, g in truth.by_time.items()]))
         segments = metrics_mod.events_from_labels(labels)
         seg_truth = [truth.segment_set(seg) for seg in segments]
         usable = [(s, g) for s, g in zip(segments, seg_truth) if g]

@@ -15,13 +15,13 @@ they are computed the same way and labeled as an approximation.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attention
+from .data import write_table
 from .embedding import EmbeddingKernels
 
 __all__ = [
@@ -156,11 +156,7 @@ def save_las_csv(path, las_matrix: np.ndarray, names):
     las_matrix = np.asarray(las_matrix, dtype=np.float64)
     if las_matrix.shape[1] != len(names):
         raise ValueError(f"{len(names)} names for {las_matrix.shape[1]} columns")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([str(n) for n in names])
-        for row in las_matrix:
-            writer.writerow([repr(float(x)) for x in row])
+    write_table(path, names, las_matrix.T)
 
 
 def save_matrix_csv(path, matrix: np.ndarray, row_labels, col_labels):
@@ -169,8 +165,4 @@ def save_matrix_csv(path, matrix: np.ndarray, row_labels, col_labels):
     if matrix.shape != (len(row_labels), len(col_labels)):
         raise ValueError(f"matrix shape {matrix.shape} != labels "
                          f"({len(row_labels)}, {len(col_labels)})")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([""] + [str(c) for c in col_labels])
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([str(label)] + [repr(float(x)) for x in row])
+    write_table(path, ["", *col_labels], [row_labels, *matrix.T])

@@ -15,10 +15,12 @@ to any external reference implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .data import LocalizationTruth, write_table
 
 __all__ = [
     "EventSegment",
@@ -46,34 +48,6 @@ class EventSegment:
 
     def timesteps(self) -> np.ndarray:
         return np.arange(self.start, self.end)
-
-
-@dataclass
-class LocalizationTruth:
-    """Ground truth for localization: the set of anomalous series indices
-    at each anomalous timestep.  Timesteps without an entry are normal."""
-
-    by_time: dict[int, frozenset[int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.by_time = {int(t): frozenset(int(i) for i in g) for t, g in self.by_time.items()}
-        for t, g in self.by_time.items():
-            if not g:
-                raise ValueError(f"empty truth set at timestep {t}")
-
-    def validate_dims(self, n: int, d: int):
-        for t, g in self.by_time.items():
-            if not 0 <= t < n:
-                raise ValueError(f"truth timestep {t} out of range [0, {n})")
-            if max(g) >= d:
-                raise ValueError(f"truth series index {max(g)} out of range at t={t}")
-
-    def segment_set(self, segment: EventSegment) -> frozenset[int]:
-        """Union of truth sets over the segment's timesteps."""
-        out: set[int] = set()
-        for t in range(segment.start, segment.end):
-            out |= self.by_time.get(t, frozenset())
-        return frozenset(out)
 
 
 def events_from_labels(labels) -> list[EventSegment]:
@@ -253,7 +227,5 @@ def write_report(path, entries: dict):
 
 
 def write_sweep_csv(path, thresholds, precision, recall, f1):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("threshold,precision,recall,f1\n")
-        for row in zip(thresholds, precision, recall, f1):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_table(path, ["threshold", "precision", "recall", "f1"],
+                [thresholds, precision, recall, f1])

@@ -342,21 +342,18 @@ class TestPipelineCommands:
         assert "affiliation_f1=1.0" in report
 
 
-    @pytest.mark.parametrize(
-        "body, where",
-        [("a,b\n0.5,x\n", "las.csv:2:"), ("a,b\n0.5,0.1\n0.5\n", "las.csv:3:"),
-         ("a,b\n", "las.csv: no rows")],
-        ids=["non_numeric", "ragged", "header_only"],
-    )
-    def test_eval_bad_las_csv_is_data_error(self, tmp_path, capsys, body, where):
+    @staticmethod
+    def _eval_inputs(tmp_path, las=None, loc_truth="timestep,series_index\n25,0\n"):
+        """A 50 x 2 labelled frame, perfect scores, a matching LAS matrix and
+        truth; ``las`` and ``loc_truth`` replace the last two files' text."""
         labels = np.array([0] * 20 + [1] * 10 + [0] * 20)
         frame = data.TimeSeriesFrame(values=np.zeros((50, 2)), names=("a", "b"), labels=labels)
         data.save_csv(frame, tmp_path / "truth.csv")
         (tmp_path / "scores.csv").write_text(
             "timestamp,anomaly_score\n" + "".join(f"{t},{labels[t]}.0\n" for t in range(50))
         )
-        (tmp_path / "loc_truth.csv").write_text("timestep,series_index\n25,0\n")
-        (tmp_path / "las.csv").write_text(body)
+        (tmp_path / "loc_truth.csv").write_text(loc_truth)
+        (tmp_path / "las.csv").write_text(las if las is not None else "a,b\n" + "1.0,0.5\n" * 50)
         cfg = tmp_path / "e.ini"
         write_config(
             cfg,
@@ -371,10 +368,47 @@ class TestPipelineCommands:
                 }
             },
         )
+        return cfg
+
+    @staticmethod
+    def _assert_data_error(cfg, capsys, where):
         assert main(["eval", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and where in err
         assert len(err.splitlines()) == 1
+
+    def test_eval_matching_las_and_truth(self, tmp_path):
+        assert main(["eval", "--config", str(self._eval_inputs(tmp_path))]) == 0
+        assert "hit_rate_at_100=1.0" in (tmp_path / "out" / "report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [("a,b\n0.5,x\n", "las.csv:2:"), ("a,b\n0.5,0.1\n0.5\n", "las.csv:3:"),
+         ("a,b\n", "las.csv: no rows")],
+        ids=["non_numeric", "ragged", "header_only"],
+    )
+    def test_eval_bad_las_csv_is_data_error(self, tmp_path, capsys, body, where):
+        self._assert_data_error(self._eval_inputs(tmp_path, las=body), capsys, where)
+
+    @pytest.mark.parametrize(
+        "body", ["a,b\n" + "1.0,0.5\n" * 40, "a\n" + "1.0\n" * 50],
+        ids=["short", "narrow"],
+    )
+    def test_eval_las_shape_must_match_data(self, tmp_path, capsys, body):
+        self._assert_data_error(self._eval_inputs(tmp_path, las=body), capsys, "las.csv: ")
+
+    @pytest.mark.parametrize("row", ["-1,1", "50,0", "25,2"],
+                             ids=["negative_timestep", "timestep_past_n", "series_past_d"])
+    def test_eval_truth_outside_frame_is_data_error(self, tmp_path, capsys, row):
+        cfg = self._eval_inputs(tmp_path, loc_truth=f"timestep,series_index\n{row}\n")
+        self._assert_data_error(cfg, capsys, "truth")
+
+    def test_eval_non_finite_score_is_data_error(self, tmp_path, capsys):
+        cfg = self._eval_inputs(tmp_path)
+        lines = (tmp_path / "scores.csv").read_text().splitlines()
+        lines[7] = "6,nan"
+        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+        self._assert_data_error(cfg, capsys, "scores.csv:8:")
 
 
 class TestDeploymentFlow:

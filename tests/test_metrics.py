@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alorat import metrics
+from alorat.data import DataError
 from alorat.metrics import EventSegment, LocalizationTruth
 
 
@@ -193,6 +194,12 @@ class TestLocalizationTruth:
             truth.validate_dims(4, 3)
         with pytest.raises(ValueError):
             LocalizationTruth(by_time={1: set()})
+
+    def test_negative_index_is_data_error(self):
+        with pytest.raises(DataError):
+            LocalizationTruth(by_time={3: {-1}}).validate_dims(10, 3)
+        with pytest.raises(DataError):
+            LocalizationTruth(by_time={-1: {1}}).validate_dims(10, 3)
 
     def test_segment_set_union(self):
         truth = LocalizationTruth(by_time={3: {0}, 4: {1}, 9: {2}})
