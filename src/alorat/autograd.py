@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Just the handful of operations the encoder needs: broadcasting
-arithmetic, (batched) matmul, squared error, and a custom node for the
-Geman low-rank penalty whose backward pass is the closed-form
-singular-vector expression.  An attention layer is one node of its own
-(:func:`alorat.attention.forward_t`), built on the GELU formula and slope
-defined here.  Gradients are accumulated by replaying the tape in reverse
+The tape holds only the encoder's own nodes, each with a hand-written
+backward: the embedding (:func:`alorat.embedding.pair_conv`), one node per
+attention layer (:func:`alorat.attention.forward_t`, built on the GELU
+formula and slope defined here), the squared reconstruction error through
+the output projection, the Geman low-rank penalty with its closed-form
+singular-vector gradient, and the weighted sum that makes them the
+objective.  Gradients are accumulated by replaying the tape in reverse
 topological order.
 """
 
@@ -16,17 +17,6 @@ import numpy as np
 from . import linalg
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -47,69 +37,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-        out_data = self.data + other.data
-        req = self.requires_grad or other.requires_grad
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.data.shape))
-
-        return Tensor(out_data, req, (self, other), backward)
-
-    def __sub__(self, other):
-        other = as_tensor(other)
-        out_data = self.data - other.data
-        req = self.requires_grad or other.requires_grad
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(-_unbroadcast(grad, other.data.shape))
-
-        return Tensor(out_data, req, (self, other), backward)
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-        out_data = self.data * other.data
-        req = self.requires_grad or other.requires_grad
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
-
-        return Tensor(out_data, req, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        out_data = self.data @ other.data
-        req = self.requires_grad or other.requires_grad
-
-        def backward(grad):
-            if self.requires_grad:
-                ga = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.data.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(gb, other.data.shape))
-
-        return Tensor(out_data, req, (self, other), backward)
-
-    # -- tape ---------------------------------------------------------------
 
     def _accumulate(self, grad):
         if self.grad is None:
@@ -140,10 +67,6 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- functional ops ----------------------------------------------------------
 
 
@@ -159,14 +82,35 @@ def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
 
 
-def sum_squares(x: Tensor) -> Tensor:
-    """Scalar sum of squared entries."""
-    out_data = np.sum(x.data**2)
+def squared_error(z: Tensor, w_out: Tensor, x: np.ndarray) -> Tensor:
+    """Scalar ``sum((z @ w_out - x)**2)`` of a (..., T, d_model) latent
+    stack, with gradients into ``z`` and ``w_out``."""
+    diff = z.data @ w_out.data - x
 
     def backward(grad):
-        x._accumulate(2.0 * grad * x.data)
+        g = 2.0 * grad * diff
+        if z.requires_grad:
+            z._accumulate(g @ w_out.data.T)
+        if w_out.requires_grad:
+            # Batched product, then the sum over the batch: one flattened
+            # (B*T)-row product would add the same terms in another order.
+            g_w = np.swapaxes(z.data, -1, -2) @ g
+            w_out._accumulate(g_w.sum(axis=tuple(range(g_w.ndim - 2))))
 
-    return Tensor(out_data, x.requires_grad, (x,), backward)
+    req = z.requires_grad or w_out.requires_grad
+    return Tensor(np.sum(diff**2), req, (z, w_out), backward)
+
+
+def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
+    """Scalar ``sum(w * t)`` over scalar nodes ``terms``."""
+    value = sum(w * t.data for t, w in zip(terms, weights))
+
+    def backward(grad):
+        for t, w in zip(terms, weights):
+            if t.requires_grad:
+                t._accumulate(grad * w)
+
+    return Tensor(value, any(t.requires_grad for t in terms), tuple(terms), backward)
 
 
 def geman_penalty(s: Tensor, r: int) -> Tensor:

@@ -203,7 +203,10 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
 
 def save_csv(frame: TimeSeriesFrame, path):
     """Write values (and labels, when present) with a header row; save ->
-    load is bit-exact."""
+    load is bit-exact.  A value series named ``label`` would load back as
+    the labels, so it is a :class:`DataError`."""
+    if "label" in frame.names:
+        raise DataError(f"{path}: a value series named 'label' would load as the labels")
     header, columns = list(frame.names), list(frame.values.T)
     if frame.labels is not None:
         header.append("label")

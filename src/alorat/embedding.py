@@ -40,6 +40,13 @@ class PairSelection:
         if len(self.pairs) != len(self.scores):
             raise ValueError("pairs and scores must align")
 
+    def channels(self, d_model: int) -> np.ndarray:
+        """(d_model, 2) channel pairs: the ranked pairs cycled over the
+        channels when d_model exceeds their count."""
+        if not self.pairs:
+            raise ValueError("empty pair selection")
+        return np.array(self.pairs, dtype=np.int64)[np.arange(d_model) % len(self.pairs)]
+
     def save(self, path):
         """An `i,j,score` header, then one row per pair."""
         write_table(path, ["i", "j", "score"],
@@ -152,15 +159,11 @@ def init_kernels(
     m: int = 3,
     rng: np.random.Generator | None = None,
 ) -> EmbeddingKernels:
-    """Assign ranked pairs to channels (cycling when d_model exceeds the
-    pair count) and draw fan-in-scaled uniform initial weights."""
-    if not selection.pairs:
-        raise ValueError("empty pair selection")
+    """Assign ranked pairs to channels (:meth:`PairSelection.channels`) and
+    draw fan-in-scaled uniform initial weights."""
+    pair_arr = selection.channels(d_model)
     if rng is None:
         rng = np.random.default_rng()
-    pair_arr = np.array(
-        [selection.pairs[c % len(selection.pairs)] for c in range(d_model)], dtype=np.int64
-    )
     bound = 1.0 / np.sqrt(2.0 * m)
     weights = rng.uniform(-bound, bound, size=(d_model, 2, m))
     return EmbeddingKernels(n_series=n_series, pairs=pair_arr, weights=weights)

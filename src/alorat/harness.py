@@ -143,10 +143,11 @@ def _require_file(path: str) -> str:
 
 def cmd_train(resolved: dict) -> int:
     cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
+    if resolved["downsample"] < 1:
+        raise ConfigError("downsample must be >= 1")
     out = _prepare_out(resolved, "train")
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
-    if resolved["downsample"] > 1:
-        frame = data_mod.downsample_mean(frame, resolved["downsample"])
+    frame = data_mod.downsample_mean(frame, resolved["downsample"])
     frame, stats = data_mod.normalize(frame)
     if stats.constant.any():
         flagged = [frame.names[i] for i in np.flatnonzero(stats.constant)]
@@ -229,6 +230,10 @@ def cmd_localize(resolved: dict) -> int:
 
 
 def cmd_eval(resolved: dict) -> int:
+    if (resolved["las"] is None) != (resolved["loc_truth"] is None):
+        missing = "las" if resolved["las"] is None else "loc_truth"
+        raise ConfigError(f"[eval] localization needs both las and loc_truth; "
+                          f"{missing!r} is missing")
     out = _prepare_out(resolved, "eval")
     header, table = data_mod.read_table(_require_file(resolved["scores"]))
     if "anomaly_score" not in header:
@@ -266,7 +271,7 @@ def cmd_eval(resolved: dict) -> int:
         "affiliation_empty_predictions": aff.empty_predictions,
     }
 
-    if resolved["las"] is not None and resolved["loc_truth"] is not None:
+    if resolved["las"] is not None:
         _, las_matrix = data_mod.read_table(_require_file(resolved["las"]))
         if las_matrix.shape != (frame.n, frame.d):
             raise DataError(f"{resolved['las']}: {las_matrix.shape[0]} x {las_matrix.shape[1]} "
@@ -322,6 +327,8 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_star_check(resolved: dict) -> int:
+    if resolved["configs"] < 1:
+        raise ConfigError("configs must be >= 1")
     out = None
     if resolved["out"] is not None:
         out = _prepare_out(resolved, "star-check")

@@ -216,44 +216,34 @@ class TrainResult:
 PARAM_GROUPS = ("kernels", *_LAYER_ARRAYS, "w_out")
 
 
-class _ParamTensors:
-    """Parameter arrays wrapped as autodiff leaves in
-    :meth:`ModelParams.arrays` order; `trainable` names the parameter groups
-    that receive gradients."""
+def _forward_t(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: TrainConfig):
+    """Forward a (B, T, d) stack through the embedding and every layer;
+    ``leaves`` are the parameter Tensors in :meth:`ModelParams.arrays`
+    order, and ``w_out`` is left to the caller.
 
-    def __init__(self, params: ModelParams, requires_grad: bool, trainable=None):
-        groups = set(PARAM_GROUPS if trainable is None else trainable)
-        unknown = groups - set(PARAM_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown parameter groups: {sorted(unknown)}")
-        self.pairs = params.kernels.pairs
-        self.all = [Tensor(a, requires_grad and name in groups) for name, a in params.arrays()]
-        per = len(_LAYER_ARRAYS)
-        self.kernel_weights, self.w_out = self.all[0], self.all[-1]
-        self.layers = [tuple(self.all[i : i + per]) for i in range(1, len(self.all) - 1, per)]
-
-    def trainable(self) -> list[Tensor]:
-        return [t for t in self.all if t.requires_grad]
-
-    def to_params(self, template: ModelParams) -> ModelParams:
-        return ModelParams.from_arrays(
-            template.d_in, template.kernels.pairs.copy(), [t.data.copy() for t in self.all]
-        )
-
-
-def _forward_t(x: np.ndarray, tensors: _ParamTensors, cfg: TrainConfig):
-    """Forward a (B, T, d) stack through embedding, layers, projection.
-
-    Returns (recon Tensor (B, T, d), list of head-averaged attention
-    Tensors (B, T, T))."""
+    Returns (final latent Tensor (B, T, d_model), list of head-averaged
+    attention Tensors (B, T, T))."""
     mask = cfg.mask_matrix()
-    z = embedding.pair_conv(x, tensors.kernel_weights, tensors.pairs)
+    z = embedding.pair_conv(x, leaves[0], pairs)
     s_avgs = []
-    for weights in tensors.layers:
-        z, s_avg, _ = attention.forward_t(z, *weights, cfg.skip, cfg.activation, mask)
+    per = len(_LAYER_ARRAYS)
+    for i in range(1, len(leaves) - 1, per):
+        z, s_avg, _ = attention.forward_t(z, *leaves[i : i + per], cfg.skip, cfg.activation, mask)
         s_avgs.append(s_avg)
-    recon = z @ tensors.w_out
-    return recon, s_avgs
+    return z, s_avgs
+
+
+def _objective(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: TrainConfig):
+    """The training objective of a (B, T, d) batch on the tape: over B, the
+    squared reconstruction error plus lambda times every layer's Geman
+    penalty.  Returns (objective, error node, penalty nodes); the node-free
+    form of the same sum is :func:`total_loss`."""
+    z, s_avgs = _forward_t(x, leaves, pairs, cfg)
+    error = ag.squared_error(z, leaves[-1], x)
+    pens = [ag.geman_penalty(s_avg, cfg.r) for s_avg in s_avgs]
+    scale = 1.0 / x.shape[0]
+    weights = [scale] + [scale * cfg.lambda_reg] * len(pens)
+    return ag.weighted_sum([error, *pens], weights), error, pens
 
 
 def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
@@ -267,9 +257,9 @@ def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
             f"window stack shape {x.shape} incompatible with "
             f"(T={cfg.t_window}, d={params.d_in})"
         )
-    tensors = _ParamTensors(params, requires_grad=False)
-    recon, s_avgs = _forward_t(x, tensors, cfg)
-    return recon.data, [s.data for s in s_avgs]
+    leaves = [Tensor(a) for _, a in params.arrays()]
+    z, s_avgs = _forward_t(x, leaves, params.kernels.pairs, cfg)
+    return z.data @ params.w_out, [s.data for s in s_avgs]
 
 
 def total_loss(batch, params: ModelParams, cfg: TrainConfig) -> LossTerms:
@@ -370,6 +360,10 @@ def train(
     the optimized groups (subset of :data:`PARAM_GROUPS`), leaving the rest
     frozen.
     """
+    groups = set(PARAM_GROUPS if trainable is None else trainable)
+    unknown = groups - set(PARAM_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown parameter groups: {sorted(unknown)}")
     values = train_frame.values
     if values.shape[0] < cfg.t_window:
         raise DataError(f"training length {values.shape[0]} shorter than window {cfg.t_window}")
@@ -387,8 +381,8 @@ def train(
     else:
         params = init.copy()
         selection = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
-    tensors = _ParamTensors(params, requires_grad=True, trainable=trainable)
-    optimizer = ag.Adam(tensors.trainable(), lr=cfg.learning_rate)
+    leaves = [Tensor(a, name in groups) for name, a in params.arrays()]
+    optimizer = ag.Adam([t for t in leaves if t.requires_grad], lr=cfg.learning_rate)
 
     best_val = np.inf
     best_params = params.copy()
@@ -403,30 +397,24 @@ def train(
             idx = order[start : start + cfg.batch_size]
             x = train_win[idx]
             try:
-                recon, s_avgs = _forward_t(x, tensors, cfg)
-                recon_loss = ag.sum_squares(recon - Tensor(x))
-                loss = recon_loss
-                reg_val = 0.0
-                for s_avg in s_avgs:
-                    pen = ag.geman_penalty(s_avg, cfg.r)
-                    reg_val += float(pen.data)
-                    loss = loss + cfg.lambda_reg * pen
+                loss, error, pens = _objective(x, leaves, params.kernels.pairs, cfg)
             except np.linalg.LinAlgError as exc:
                 raise NumericError(f"numerical failure at epoch {epoch}: {exc}") from None
-            batch_loss = loss * (1.0 / x.shape[0])
-            if not np.isfinite(batch_loss.data):
+            if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             optimizer.zero_grad()
-            batch_loss.backward()
+            loss.backward()
             optimizer.step()
-            recon_sum += float(recon_loss.data)
-            reg_sum += cfg.lambda_reg * reg_val
+            recon_sum += float(error.data)
+            reg_sum += cfg.lambda_reg * sum(float(pen.data) for pen in pens)
         # The last step's autodiff graph would stay alive under validation
         # and calibration.  Dropping it once per epoch, not per step, keeps
         # the allocator from trimming and re-faulting its heap every batch.
-        del recon, s_avgs, recon_loss, loss, pen, batch_loss
+        del loss, error, pens
 
-        current = tensors.to_params(params)
+        current = ModelParams.from_arrays(
+            params.d_in, params.kernels.pairs.copy(), [t.data.copy() for t in leaves]
+        )
         try:
             val_total = _mean_loss(val_win, current, cfg)
         except np.linalg.LinAlgError as exc:
@@ -532,7 +520,13 @@ def save_checkpoint(
     the :meth:`ModelParams.arrays` in order, and the optional normalization
     mean and std.  The CRC-32 (zlib, 8 hex digits) covers the header lines
     before it and the blocks.  The header text is also written to
-    ``<path>.manifest.txt``."""
+    ``<path>.manifest.txt``.
+
+    :func:`load_checkpoint` rebuilds the channel pairs from ``selection``,
+    so params whose channels are not :meth:`PairSelection.channels` of it
+    (a warm start keeps its own) raise ``ValueError``."""
+    if not np.array_equal(params.kernels.pairs, selection.channels(params.d_model)):
+        raise ValueError("channel pairs are not the selection's pairs cycled over the channels")
     header = {
         **asdict(cfg),
         "d_in": params.d_in,
@@ -609,13 +603,12 @@ def load_checkpoint(path):
     if offset != len(body):
         raise DataError(f"{path}: {len(body) - offset} trailing bytes")
 
-    pairs = pairs.astype(np.int64)
     selection = embedding.PairSelection(
         pairs=tuple(map(tuple, pairs.tolist())), scores=scores.astype(np.float64)
     )
     try:
         params = ModelParams.from_arrays(
-            d_in, pairs[np.arange(dm) % n_pairs], [b.astype(np.float64) for b in blocks]
+            d_in, selection.channels(dm), [b.astype(np.float64) for b in blocks]
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None

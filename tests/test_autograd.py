@@ -15,6 +15,13 @@ def _sum_all(x: Tensor) -> Tensor:
                   lambda grad: x._accumulate(np.full(x.data.shape, grad)))
 
 
+def _project(x: Tensor, weight: np.ndarray) -> Tensor:
+    """Scalar sum(x * weight) for a constant ``weight``, as a node of its
+    own."""
+    return Tensor(np.sum(x.data * weight), x.requires_grad, (x,),
+                  lambda grad: x._accumulate(grad * weight))
+
+
 def fd_check(build, arrays, rel_tol=1e-6, seed=0):
     """`build(*tensors)` must return a Tensor; compare its gradients on each
     input against central differences of a fixed random projection."""
@@ -27,7 +34,7 @@ def fd_check(build, arrays, rel_tol=1e-6, seed=0):
         o = build(*[Tensor(v) for v in values])
         return float(np.sum(o.data * proj))
 
-    _sum_all(out * Tensor(proj)).backward()
+    _project(out, proj).backward()
 
     h = 1e-6
     for pos, (t, arr) in enumerate(zip(tensors, arrays)):
@@ -40,37 +47,6 @@ def fd_check(build, arrays, rel_tol=1e-6, seed=0):
             down_vals[pos].flat[fi] -= h
             fd = (scalarize(up_vals) - scalarize(down_vals)) / (2 * h)
             assert t.grad.flat[fi] == pytest.approx(fd, rel=rel_tol, abs=1e-7)
-
-
-def test_add_broadcast():
-    rng = np.random.default_rng(1)
-    fd_check(lambda a, b: a + b, [rng.normal(size=(3, 4)), rng.normal(size=(4,))])
-
-
-def test_sub():
-    rng = np.random.default_rng(2)
-    fd_check(lambda a, b: a - b, [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))])
-
-
-def test_mul_broadcast():
-    rng = np.random.default_rng(3)
-    fd_check(lambda a, b: a * b, [rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 4))])
-
-
-def test_scalar_mul():
-    rng = np.random.default_rng(4)
-    fd_check(lambda a: a * 2.5, [rng.normal(size=(3, 3))])
-
-
-def test_matmul():
-    rng = np.random.default_rng(5)
-    fd_check(lambda a, b: a @ b, [rng.normal(size=(4, 3)), rng.normal(size=(3, 5))])
-
-
-def test_matmul_batched_broadcast():
-    rng = np.random.default_rng(6)
-    fd_check(lambda a, b: a @ b, [rng.normal(size=(2, 3, 4, 3)), rng.normal(size=(3, 5))])
-    fd_check(lambda a, b: a @ b, [rng.normal(size=(4, 3)), rng.normal(size=(5, 3, 6))])
 
 
 def _layer_inputs(seed, t_len=5, d_model=4, heads=2, batch=2):
@@ -133,8 +109,26 @@ def test_concat_last():
 
 
 def test_sum_squares():
+    """The squared reconstruction error of one (T, d_model) latent."""
     rng = np.random.default_rng(12)
-    fd_check(lambda a: ag.sum_squares(a), [rng.normal(size=(4, 4))])
+    x = rng.normal(size=(4, 3))
+    fd_check(lambda z, w: ag.squared_error(z, w, x),
+             [rng.normal(size=(4, 5)), rng.normal(size=(5, 3))])
+
+
+def test_squared_error_batched():
+    """A (B, T, d_model) stack: w_out's gradient sums over the batch."""
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(3, 4, 2))
+    fd_check(lambda z, w: ag.squared_error(z, w, x),
+             [rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))])
+
+
+def test_weighted_sum():
+    rng = np.random.default_rng(20)
+    weight = rng.normal(size=(2, 3))
+    fd_check(lambda a, b: ag.weighted_sum([_project(a, weight), _sum_all(b)], [0.5, -3.0]),
+             [rng.normal(size=(2, 3)), rng.normal(size=(4,))])
 
 
 def test_shape_ops():
@@ -158,7 +152,7 @@ def test_attention_layer_node(mask, skip, activation):
 
     def build(*tensors):
         z_next, s_avg, _ = attention.forward_t(*tensors, skip, activation, mk)
-        return _sum_all(z_next * Tensor(weight)) + ag.geman_penalty(s_avg, 1)
+        return ag.weighted_sum([_project(z_next, weight), ag.geman_penalty(s_avg, 1)], [1.0, 1.0])
 
     fd_check(build, inputs, rel_tol=1e-4)
 
@@ -178,26 +172,27 @@ def test_geman_penalty():
 
 
 def test_backward_needs_scalar():
-    t = Tensor(np.ones((2, 2)), requires_grad=True)
+    weights = Tensor(np.ones((1, 2, 1)), requires_grad=True)
     with pytest.raises(ValueError):
-        (t + t).backward()
+        embedding.pair_conv(np.ones((3, 2)), weights, np.array([[0, 1]])).backward()
 
 
 def test_grad_accumulates_through_shared_node():
-    a = Tensor(np.array([3.0]), requires_grad=True)
-    out = _sum_all(a * a + a * a)
-    out.backward()
-    assert a.grad[0] == pytest.approx(12.0)
+    """A node that feeds the objective twice gets both gradients."""
+    z = Tensor(np.array([[3.0]]), requires_grad=True)
+    error = ag.squared_error(z, Tensor(np.ones((1, 1))), np.zeros((1, 1)))
+    ag.weighted_sum([error, error], [1.0, 1.0]).backward()
+    assert error.grad == pytest.approx(2.0)
+    assert z.grad[0, 0] == pytest.approx(12.0)
 
 
 def test_adam_minimizes_quadratic():
     target = np.array([1.0, -2.0, 0.5])
-    p = Tensor(np.zeros(3), requires_grad=True)
+    p = Tensor(np.zeros((3, 1)), requires_grad=True)
     opt = ag.Adam([p], lr=0.1)
     for _ in range(300):
-        diff = p - Tensor(target)
-        loss = ag.sum_squares(diff)
+        loss = ag.squared_error(Tensor(np.eye(3)), p, target[:, None])
         opt.zero_grad()
         loss.backward()
         opt.step()
-    np.testing.assert_allclose(p.data, target, atol=1e-3)
+    np.testing.assert_allclose(p.data[:, 0], target, atol=1e-3)

@@ -78,6 +78,15 @@ class TestCsv:
         assert loaded.names == frame.names
         assert loaded.values.tobytes() == frame.values.tobytes()
 
+    @pytest.mark.parametrize("values", [[0.5, 2.0], [0.0, 1.0]], ids=["real", "binary"])
+    def test_value_series_named_label_rejected(self, tmp_path, values):
+        """It would load back as the labels: an error for real values, and
+        silently a label column for 0/1 values."""
+        frame = TimeSeriesFrame(values=np.array([values, values[::-1]]), names=("label", "x"))
+        with pytest.raises(DataError, match="named 'label'"):
+            data.save_csv(frame, tmp_path / "f.csv")
+        assert not (tmp_path / "f.csv").exists()
+
     def test_loc_truth_round_trip(self, tmp_path):
         truth = LocalizationTruth(by_time={5: {0, 2}, 9: {1}})
         path = tmp_path / "truth.csv"

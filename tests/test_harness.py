@@ -128,6 +128,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and ":5: label 300 is not 0 or 1" in err
 
+    def test_zero_downsample_is_config_error(self, workspace, capsys):
+        tmp_path, _ = workspace
+        cfg = tmp_path / "ds.ini"
+        write_config(cfg, {"train": {"data": tmp_path / "sim" / "sim.csv",
+                                     "out": tmp_path / "o4", "downsample": 0}})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: downsample must be >= 1\n"
+        assert not (tmp_path / "o4").exists()
+
     def test_one_series_exits_3(self, tmp_path, capsys):
         frame = data.TimeSeriesFrame(values=np.random.default_rng(0).normal(size=(40, 1)),
                                      names=("a",))
@@ -403,6 +412,17 @@ class TestPipelineCommands:
         cfg = self._eval_inputs(tmp_path, loc_truth=f"timestep,series_index\n{row}\n")
         self._assert_data_error(cfg, capsys, "truth")
 
+    @pytest.mark.parametrize("missing", ["las", "loc_truth"])
+    def test_eval_localization_needs_both_inputs(self, tmp_path, capsys, missing):
+        cfg = self._eval_inputs(tmp_path)
+        lines = cfg.read_text().splitlines(keepends=True)
+        cfg.write_text("".join(line for line in lines if not line.startswith(f"{missing} =")))
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{missing!r} is missing" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_eval_non_finite_score_is_data_error(self, tmp_path, capsys):
         cfg = self._eval_inputs(tmp_path)
         lines = (tmp_path / "scores.csv").read_text().splitlines()
@@ -502,6 +522,13 @@ class TestStarCheckCommand:
         out = capsys.readouterr().out
         assert "aggregate=PASS" in out
         assert out.count("mode=skip") == 20
+
+    def test_zero_configs_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.ini"
+        write_config(cfg, {"star-check": {"configs": 0, "out": tmp_path / "sc"}})
+        assert main(["star-check", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: configs must be >= 1\n"
+        assert not (tmp_path / "sc").exists()
 
     def test_report_file(self, tmp_path):
         assert main(["star-check", "--out", str(tmp_path / "sc")]) == 0

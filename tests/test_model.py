@@ -6,6 +6,7 @@ from test_attention import layer_forward
 
 from alorat import data, embedding, harness, linalg, model
 from alorat.attention import AttentionLayerParams
+from alorat.autograd import Tensor
 from alorat.data import DataError, TimeSeriesFrame
 from alorat.embedding import EmbeddingKernels
 from alorat.model import ModelParams, TrainConfig
@@ -492,7 +493,82 @@ class TestTrain:
         assert result.params.layers[0].w_q.tobytes() != init.layers[0].w_q.tobytes()
 
 
+def tape_nodes(root):
+    """Every node with a backward that ``root`` reaches through the tape."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return [node for node in seen.values() if node._backward is not None]
+
+
+class TestObjective:
+    """The tape form of the training objective against :func:`total_loss`."""
+
+    @staticmethod
+    def _setup(**over):
+        cfg = tiny_cfg(**over)
+        values = np.random.default_rng(40).normal(size=(30, 3))
+        params, _ = model.init_params(values, cfg, np.random.default_rng(41))
+        x = data.windows(values, cfg.t_window)[:3]
+        leaves = [Tensor(a.copy(), True) for _, a in params.arrays()]
+        return cfg, params, x, leaves
+
+    def test_two_layer_step_records_nine_nodes(self):
+        """pair_conv, two layer nodes with their s_avg nodes, the squared
+        error, two Geman penalties and the weighted sum."""
+        cfg, params, x, leaves = self._setup(layers=2)
+        loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
+        assert len(tape_nodes(loss)) == 9
+
+    def test_gradient_matches_total_loss(self):
+        """One entry of every parameter array: the tape gradient against
+        central differences of total_loss(x).total / B."""
+        cfg, params, x, leaves = self._setup(activation="gelu", mask="causal")
+        loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
+        assert float(loss.data) == pytest.approx(model.total_loss(x, params, cfg).total / 3)
+        loss.backward()
+        rng = np.random.default_rng(42)
+        h = 1e-6
+        for pos, leaf in enumerate(leaves):
+            fi = rng.integers(leaf.data.size)
+
+            def objective(step):
+                arrays = [a.copy() for _, a in params.arrays()]
+                arrays[pos].flat[fi] += step
+                moved = ModelParams.from_arrays(params.d_in, params.kernels.pairs, arrays)
+                return model.total_loss(x, moved, cfg).total / x.shape[0]
+
+            fd = (objective(h) - objective(-h)) / (2 * h)
+            assert leaf.grad.flat[fi] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
 class TestCheckpoint:
+    def test_warm_start_with_other_channel_pairs_refused(self, tmp_path):
+        """Training re-selects pairs from the data but keeps ``init``'s
+        channels, which load_checkpoint would rebuild from the selection."""
+        rng = np.random.default_rng(43)
+        values = rng.normal(size=(60, 4))
+        values[:, 1] = values[:, 0] + 0.1 * rng.normal(size=60)
+        frame = TimeSeriesFrame(values=values, names=("a", "b", "c", "d"))
+        cfg = tiny_cfg(max_epochs=1)
+        init, _ = model.init_params(values, cfg, np.random.default_rng(44))
+        init.kernels.pairs[:] = (2, 3)
+        result = model.train(frame, cfg, init=init)
+        assert result.selection.pairs[0] == (0, 1)
+        with pytest.raises(ValueError, match="channel pairs"):
+            model.save_checkpoint(tmp_path / "m.alora", result.params, cfg, result.selection)
+        assert not (tmp_path / "m.alora").exists()
+
+    def test_warm_start_pairs_roundtrip(self, pinned_sim_run, tmp_path):
+        cfg, result, _, _ = pinned_sim_run
+        path = tmp_path / "m.alora"
+        model.save_checkpoint(path, result.params, cfg, result.selection, result.thresholds.h1)
+        loaded, _, _, _, _ = model.load_checkpoint(path)
+        assert loaded.kernels.pairs.tobytes() == result.params.kernels.pairs.tobytes()
+
     def test_roundtrip(self, tmp_path):
         cfg = tiny_cfg(mask="causal", activation="gelu", pair_method="pearson")
         values = np.random.default_rng(24).normal(size=(50, 3))
