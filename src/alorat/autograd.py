@@ -35,13 +35,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def _accumulate(self, grad):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
+        else:
+            self.grad += grad
 
     def backward(self):
         if self.data.size != 1:

@@ -234,6 +234,10 @@ def cmd_eval(resolved: dict) -> int:
         missing = "las" if resolved["las"] is None else "loc_truth"
         raise ConfigError(f"[eval] localization needs both las and loc_truth; "
                           f"{missing!r} is missing")
+    p_percents = [p.strip() for p in resolved["p_percents"].split(",") if p.strip()]
+    for p in p_percents:
+        if not p.isdecimal() or int(p) < 1:
+            raise ConfigError(f"p_percents entry {p!r} is not an integer >= 1")
     out = _prepare_out(resolved, "eval")
     header, table = data_mod.read_table(_require_file(resolved["scores"]))
     if "anomaly_score" not in header:
@@ -279,7 +283,7 @@ def cmd_eval(resolved: dict) -> int:
         truth = data_mod.load_loc_truth(_require_file(resolved["loc_truth"]))
         truth.validate_dims(frame.n, frame.d)
         ranked = {t: loc_mod.rank_series(las_matrix[t], frame.d) for t in truth.by_time}
-        for p in (int(p) for p in resolved["p_percents"].split(",") if p.strip()):
+        for p in map(int, p_percents):
             report[f"hit_rate_at_{p}"] = float(np.mean(
                 [metrics_mod.hit_rate(ranked[t], g, p) for t, g in truth.by_time.items()]))
             report[f"ndcg_at_{p}"] = float(np.mean(
@@ -335,21 +339,16 @@ def cmd_star_check(resolved: dict) -> int:
     results = star_verify.run_grid(
         n=resolved["configs"], base_seed=resolved["seed"], tolerance=resolved["tolerance"]
     )
-    lines = []
-    all_pass = True
+    lines, all_pass = [], True
     for config, reports in results:
         for mode in ("skip", "no_skip"):
-            report = reports[mode]
-            lines.append(f"{config.describe()} {report.line()}")
-            if report.passed is False:
-                all_pass = False
-    for line in lines:
-        print(line)
-    summary = f"aggregate={'PASS' if all_pass else 'FAIL'} configs={len(results)}"
-    print(summary)
+            lines.append(f"{config.describe()} {reports[mode].line()}")
+            all_pass = all_pass and reports[mode].passed is not False
+    lines.append(f"aggregate={'PASS' if all_pass else 'FAIL'} configs={len(results)}")
+    print("\n".join(lines))
     if out is not None:
         with open(out / "star_report.txt", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines + [summary]) + "\n")
+            fh.write("\n".join(lines) + "\n")
     return 0 if all_pass else 4
 
 
@@ -385,10 +384,7 @@ def main(argv=None) -> int:
             args.config, args.command, {"seed": getattr(args, "seed", None), "out": args.out}
         )
         return _COMMANDS[args.command][0](resolved)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericError, np.linalg.LinAlgError) as exc:

@@ -8,6 +8,9 @@ of the package is built on these primitives.
 
 from __future__ import annotations
 
+import itertools
+import os
+
 import numpy as np
 
 __all__ = ["geman_batch", "spectrum"]
@@ -36,9 +39,9 @@ def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.nda
     if r >= k:
         return 0.0, np.zeros_like(s) if grad else None
     if grad:
-        u, sigma, vh = np.linalg.svd(s)
+        u, sigma, vh = _stack_map(np.linalg.svd, s)
     else:
-        sigma = np.linalg.svd(s, compute_uv=False)
+        sigma = _stack_map(np.linalg.svd, s, compute_uv=False)
     tail = sigma[..., r:]
     loss = float(np.sum(tail / (tail + 1.0)))
     if not grad:
@@ -46,6 +49,36 @@ def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.nda
     zero = k * np.finfo(np.float64).eps * sigma[..., :1]
     weights = np.where(tail > zero, 1.0 / (tail + 1.0) ** 2, 0.0)
     return loss, (u[..., :, r:] * weights[..., None, :]) @ vh[..., r:, :]
+
+
+# Usable CPUs ([0] where they cannot be read); the fewest matrices worth a thread.
+_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+_WORKERS = len(_CPUS)
+_MIN_PART = 16
+_pool = None
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _stack_map(fn, s: np.ndarray, **kwargs):
+    """``fn(s, **kwargs)`` for a numpy call that factors each matrix of a
+    (n, T, T) stack on its own, run as up to ``_WORKERS`` slices of ``_MIN_PART``
+    or more matrices on pool threads bound one per CPU; bit-identical to one call."""
+    global _pool
+    parts = min(_WORKERS, s.shape[0] // _MIN_PART) if s.ndim == 3 else 1
+    if parts < 2:
+        return fn(s, **kwargs)
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: ~7 ms to import
+        # Unbound, the threads were seen to share the caller's CPU while another idled.
+        cpus = itertools.cycle(_CPUS)
+        _pool = ThreadPoolExecutor(
+            _WORKERS, initializer=lambda: os.sched_setaffinity(0, {next(cpus)}))
+    futures = [_pool.submit(fn, part, **kwargs) for part in np.array_split(s, parts)]
+    outs = [f.result() for f in futures]
+    if isinstance(outs[0], tuple):
+        return tuple(map(np.concatenate, zip(*outs)))
+    return np.concatenate(outs)
 
 
 # Below this cutoff every singular value compared against it comes from the

@@ -204,6 +204,7 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """``selection`` is None after a warm start whose channels it does not give."""
     params: ModelParams
     thresholds: Thresholds
     history: list[EpochStats] = field(default_factory=list)
@@ -381,6 +382,8 @@ def train(
     else:
         params = init.copy()
         selection = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
+        if not np.array_equal(selection.channels(params.d_model), params.kernels.pairs):
+            selection = None
     leaves = [Tensor(a, name in groups) for name, a in params.arrays()]
     optimizer = ag.Adam([t for t in leaves if t.requires_grad], lr=cfg.learning_rate)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alorat import data
+from alorat import data, linalg
 from alorat import model as model_mod
 from alorat.data import DataError
 from alorat.harness import main
@@ -217,6 +217,23 @@ class TestScoreCommand:
         assert main(["score", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err == "numeric failure: SVD did not converge\n"
 
+    def test_svd_failure_in_worker_thread_exits_4(self, workspace, capsys, monkeypatch):
+        """A non-converging SVD in the last slice of a split Geman stack, run
+        on the pool's thread, still ends training with exit 4 and one line."""
+        tmp_path, cfg = workspace
+        geman_batch = linalg.geman_batch
+
+        def last_matrix_nan(s, r, grad=True):
+            s = s.copy()
+            s[-1] = np.nan
+            return geman_batch(s, r, grad)
+
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        monkeypatch.setattr(linalg, "geman_batch", last_matrix_nan)
+        assert main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err == "numeric failure: numerical failure at epoch 0: SVD did not converge\n"
+
     def test_non_finite_data_cell(self, workspace, capsys):
         tmp_path, cfg = workspace
         assert main(["train", "--config", str(cfg)]) == 0
@@ -422,6 +439,22 @@ class TestPipelineCommands:
         assert err.startswith("config error: ") and f"{missing!r} is missing" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", ["-50", "0", "abc"])
+    def test_eval_bad_p_percents_is_config_error(self, tmp_path, capsys, entry):
+        cfg = self._eval_inputs(tmp_path)
+        cfg.write_text(cfg.read_text() + f"p_percents = 100,{entry}\n")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: p_percents") and repr(entry) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_p_percents_above_100(self, tmp_path):
+        cfg = self._eval_inputs(tmp_path)
+        cfg.write_text(cfg.read_text() + "p_percents = 150\n")
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert "hit_rate_at_150=" in (tmp_path / "out" / "report.txt").read_text()
 
     def test_eval_non_finite_score_is_data_error(self, tmp_path, capsys):
         cfg = self._eval_inputs(tmp_path)

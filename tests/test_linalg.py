@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -87,6 +91,69 @@ class TestGemanLoss:
         assert total == pytest.approx(sum(s[0] for s in singles))
         for g_batch, (_, g_single) in zip(grads, singles):
             np.testing.assert_allclose(g_batch, g_single[0], atol=1e-12)
+
+
+class TestStackSplit:
+    """geman_batch's SVDs run on contiguous slices of the stack, one per
+    usable CPU; every split gives the single-call result bit for bit."""
+
+    @staticmethod
+    def _count_svd_calls(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(threading.current_thread() is threading.main_thread())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, linalg._MIN_PART - 1, 2 * linalg._MIN_PART,
+                                   2 * linalg._MIN_PART + 1, 129])
+    def test_bit_identical_to_one_call(self, monkeypatch, workers, n):
+        rng = np.random.default_rng(n)
+        s = linalg.softmax_last(3.0 * rng.normal(size=(n, 16, 16)))
+        monkeypatch.setattr(linalg, "_WORKERS", 1)
+        loss_one, grad_one = linalg.geman_batch(s, 1)
+        values_one, _ = linalg.geman_batch(s, 1, grad=False)
+
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        calls = self._count_svd_calls(monkeypatch)
+        loss, grad = linalg.geman_batch(s, 1)
+        values, none = linalg.geman_batch(s, 1, grad=False)
+        assert loss == loss_one and values == values_one and none is None
+        assert grad.tobytes() == grad_one.tobytes()
+        parts = max(1, min(workers, n // linalg._MIN_PART))
+        assert len(calls) == 2 * parts
+        assert calls.count(True) == (2 if parts == 1 else 0)  # the pool runs every slice
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_failure_in_last_slice_reaches_caller(self, monkeypatch, grad):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        calls = self._count_svd_calls(monkeypatch)
+        s = np.random.default_rng(1).normal(size=(2 * linalg._MIN_PART, 16, 16))
+        s[-1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            linalg.geman_batch(s, 1, grad=grad)
+        assert calls == [False, False]  # both slices ran on the pool
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        s = np.random.default_rng(2).normal(size=(2 * linalg._MIN_PART, 16, 16))
+        grad = linalg.geman_batch(s, 1)[1]  # the parent's pool exists from here on
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only if its split call returns the same bits
+            code = 1
+            try:
+                signal.alarm(20)
+                code = 0 if linalg.geman_batch(s, 1)[1].tobytes() == grad.tobytes() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestSoftmaxRows:

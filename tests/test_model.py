@@ -547,8 +547,10 @@ class TestObjective:
 
 class TestCheckpoint:
     def test_warm_start_with_other_channel_pairs_refused(self, tmp_path):
-        """Training re-selects pairs from the data but keeps ``init``'s
-        channels, which load_checkpoint would rebuild from the selection."""
+        """Training keeps ``init``'s channels, so it returns no selection when
+        the pairs ranked from the data would give others; a checkpoint of
+        those parameters with the ranked selection is refused, since
+        load_checkpoint would rebuild the channels from it."""
         rng = np.random.default_rng(43)
         values = rng.normal(size=(60, 4))
         values[:, 1] = values[:, 0] + 0.1 * rng.normal(size=60)
@@ -557,9 +559,11 @@ class TestCheckpoint:
         init, _ = model.init_params(values, cfg, np.random.default_rng(44))
         init.kernels.pairs[:] = (2, 3)
         result = model.train(frame, cfg, init=init)
-        assert result.selection.pairs[0] == (0, 1)
+        assert result.selection is None
+        ranked = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
+        assert ranked.pairs[0] == (0, 1)
         with pytest.raises(ValueError, match="channel pairs"):
-            model.save_checkpoint(tmp_path / "m.alora", result.params, cfg, result.selection)
+            model.save_checkpoint(tmp_path / "m.alora", result.params, cfg, ranked)
         assert not (tmp_path / "m.alora").exists()
 
     def test_warm_start_pairs_roundtrip(self, pinned_sim_run, tmp_path):
