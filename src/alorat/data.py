@@ -137,6 +137,17 @@ def read_table(path):
     ``float`` rejects and a non-finite cell are each a :class:`DataError`
     naming ``path:line``; so are an empty file and a header without rows.
     """
+    try:
+        header, blocks = _read_blocks(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not blocks:
+        raise DataError(f"{path}: no rows")
+    return header, np.concatenate(blocks)
+
+
+def _read_blocks(path):
+    """:func:`read_table`'s header and checked row blocks."""
     blocks = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -163,9 +174,7 @@ def read_table(path):
                 raise DataError(f"{path}:{first_line + int(np.argmin(finite))}: non-finite cell")
             blocks.append(block)
             first_line += len(rows)
-    if not blocks:
-        raise DataError(f"{path}: no rows")
-    return header, np.concatenate(blocks)
+    return header, blocks
 
 
 def write_table(path, header, columns):

@@ -97,7 +97,10 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
     raw: dict[str, str] = {}
     if config_path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(config_path)
+        try:
+            read = parser.read(config_path)
+        except configparser.Error as exc:  # its messages span lines
+            raise ConfigError(" ".join(str(exc).split())) from None
         if not read:
             raise ConfigError(f"cannot read config file {config_path}")
         if parser.has_section(command):
@@ -121,7 +124,10 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
 
 def _prepare_out(resolved: dict, command: str) -> Path:
     out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out {str(out)!r} is not a usable directory: {exc.strerror}") from None
     parser = configparser.ConfigParser(interpolation=None)
     parser.add_section(command)
     for key, value in resolved.items():

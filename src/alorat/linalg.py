@@ -3,7 +3,9 @@ last axis, and the truncated Geman low-rank penalty with its closed-form
 subgradient.
 
 Everything here is pure and operates on float64 ``numpy`` arrays; the rest
-of the package is built on these primitives.
+of the package is built on these primitives.  The only threads of the package
+live here: the CPU-bound pool that splits the Geman SVD, and the one helper
+thread of :func:`overlap` that takes inference chunks' spectra.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ _CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _WORKERS = len(_CPUS)
 _MIN_PART = 16
 _pool = None
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+_helper = None
+if hasattr(os, "register_at_fork"):  # a forked child has none of their threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _helper=None))
 
 
 def _stack_map(fn, s: np.ndarray, **kwargs):
@@ -79,6 +82,38 @@ def _stack_map(fn, s: np.ndarray, **kwargs):
     if isinstance(outs[0], tuple):
         return tuple(map(np.concatenate, zip(*outs)))
     return np.concatenate(outs)
+
+
+def overlap(produce, consume, items) -> list:
+    """``[consume(produce(x)) for x in items]``, with ``consume`` of item k
+    run on one helper thread while the caller's thread runs ``produce`` of
+    item k+1.  At most one ``consume`` is in flight, results come back in
+    item order, and an exception from either side reaches the caller only
+    after the helper is idle.  With one usable CPU everything runs inline.
+
+    The helper is not bound to a CPU: the pool's threads are, one of them to
+    the caller's CPU, where ``consume`` would wait on ``produce``.
+    ``consume`` must call nothing traced, nothing on the pool and not
+    :func:`overlap`, so every traced call stays on the caller's thread."""
+    global _helper
+    if _WORKERS < 2:
+        return [consume(produce(x)) for x in items]
+    if _helper is None:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: ~7 ms to import
+        _helper = ThreadPoolExecutor(1)
+    outs, pending = [], None
+    try:
+        for x in items:
+            y = produce(x)
+            if pending is not None:
+                outs.append(pending.result())
+            pending = _helper.submit(consume, y)
+        if pending is not None:
+            outs.append(pending.result())
+    finally:
+        if pending is not None:
+            pending.exception()  # waits for the helper without raising
+    return outs
 
 
 # Below this cutoff every singular value compared against it comes from the

@@ -67,8 +67,10 @@ class TrainConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
+        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
+            raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.t_window < 2:
             raise ValueError("t_window must be >= 2")
         if self.r < 0:
@@ -317,12 +319,15 @@ def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> f
     largest value is made exact by a second :func:`linalg.spectrum` call
     near it."""
     idx = [i for i in (3, 4) if i < cfg.t_window] or [cfg.t_window - 1]
-    sig_cols = []
-    for chunk in _chunks(win, cfg):
-        s_final = batch_forward(chunk, params, cfg)[1][-1]
+
+    def final_layer(chunk):
+        return batch_forward(chunk, params, cfg)[1][-1]
+
+    def sig_cols(s_final):
         sigma = linalg.spectrum(s_final)[:, idx]
-        sig_cols.append(linalg.spectrum(s_final, near=float(sigma.max()))[:, idx])
-    traj = np.concatenate(sig_cols, axis=0)
+        return linalg.spectrum(s_final, near=float(sigma.max()))[:, idx]
+
+    traj = np.concatenate(linalg.overlap(final_layer, sig_cols, _chunks(win, cfg)), axis=0)
     return calibrate_h1(traj[:, 0], traj[:, -1])
 
 
@@ -460,9 +465,10 @@ def score_frame(
     """Score every timestep: each t is the last row of its window; the
     first T-1 timesteps reuse the first window and are flagged.  Windows
     are forwarded chunk by chunk from a view of ``frame``, so memory is the
-    O(N·d) outputs plus one chunk.  With ``h1=None`` no spectrum is taken
-    and only the residuals are filled in (the anomaly and rank scores are
-    None)."""
+    O(N·d) outputs plus two chunks: the spectrum of one chunk is taken by
+    :func:`linalg.overlap` while the next is forwarded.  With ``h1=None`` no
+    spectrum is taken and only the residuals are filled in (the anomaly and
+    rank scores are None)."""
     values = frame.values
     n, d = values.shape
     t_len = cfg.t_window
@@ -471,21 +477,29 @@ def score_frame(
     win = windows(values, t_len, stride=1)
 
     res_per_series = np.empty((n, d))
-    counts = np.empty(win.shape[0], dtype=np.int64)
     offset = 0
-    first_recon = None
-    for chunk in _chunks(win, cfg):
+
+    def forward(chunk):
+        """The chunk's residuals into ``res_per_series``; returns its
+        final-layer attention."""
+        nonlocal offset
         recon, s_layers = batch_forward(chunk, params, cfg)
         if offset == 0:
-            first_recon = recon[0]
-        if h1 is not None:
-            sigma = linalg.spectrum(s_layers[-1], near=h1)
-            counts[offset : offset + chunk.shape[0]] = np.sum(sigma > h1, axis=1)
+            res_per_series[: t_len - 1] = (values[: t_len - 1] - recon[0, : t_len - 1]) ** 2
         res_per_series[offset + t_len - 1 : offset + t_len - 1 + chunk.shape[0]] = (
             chunk[:, -1, :] - recon[:, -1, :]
         ) ** 2
         offset += chunk.shape[0]
-    res_per_series[: t_len - 1] = (values[: t_len - 1] - first_recon[: t_len - 1]) ** 2
+        return s_layers[-1]
+
+    if h1 is None:
+        for chunk in _chunks(win, cfg):
+            forward(chunk)
+    else:
+        def rank(s_final):
+            return np.sum(linalg.spectrum(s_final, near=h1) > h1, axis=1)
+
+        counts = np.concatenate(linalg.overlap(forward, rank, _chunks(win, cfg)))
 
     residual_sq = res_per_series.sum(axis=1)
     if not np.isfinite(residual_sq).all():

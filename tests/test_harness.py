@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -78,41 +80,6 @@ class TestTrainCommand:
         assert (out_dir / "pairs.txt").exists()
         assert (out_dir / "loss_history.csv").exists()
         assert (out_dir / "resolved_config.ini").exists()
-
-    def test_missing_data_file(self, tmp_path):
-        cfg = tmp_path / "c.ini"
-        write_config(cfg, {"train": {"data": tmp_path / "nope.csv", "out": tmp_path / "o"}})
-        assert main(["train", "--config", str(cfg)]) == 3
-
-    def test_negative_lambda(self, workspace):
-        tmp_path, _ = workspace
-        cfg = tmp_path / "bad.ini"
-        write_config(
-            cfg,
-            {
-                "train": {
-                    "data": tmp_path / "sim" / "sim.csv",
-                    "out": tmp_path / "o2",
-                    "lambda_reg": -1.0,
-                }
-            },
-        )
-        assert main(["train", "--config", str(cfg)]) == 2
-
-    def test_unknown_key(self, workspace):
-        tmp_path, _ = workspace
-        cfg = tmp_path / "bad2.ini"
-        write_config(
-            cfg,
-            {
-                "train": {
-                    "data": tmp_path / "sim" / "sim.csv",
-                    "out": tmp_path / "o3",
-                    "not_a_key": 7,
-                }
-            },
-        )
-        assert main(["train", "--config", str(cfg)]) == 2
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "ghost.ini")]) == 2
@@ -603,6 +570,38 @@ class TestDeterminism:
         assert a == b
 
 
+    def test_chain_files_independent_of_helper_thread(self, workspace, monkeypatch):
+        """train -> score -> localize -> eval writes the same bytes whether
+        the chunks' spectra run inline or on the helper thread."""
+        tmp_path, _ = workspace
+        sim = tmp_path / "sim"
+        chain = tmp_path / "chain"
+        cfg = tmp_path / "chain.ini"
+        write_config(cfg, {
+            "train": {"data": sim / "sim.csv", "out": chain / "run", "seed": 4, "t_window": 16,
+                      "d_model": 4, "heads": 2, "layers": 2, "max_epochs": 2, "k_pairs": 2,
+                      "batch_size": 64},
+            "score": {"checkpoint": chain / "run" / "model.alora", "data": sim / "sim.csv",
+                      "out": chain / "scored", "h2": 5.0},
+            "localize": {"checkpoint": chain / "run" / "model.alora", "data": sim / "sim.csv",
+                         "out": chain / "localized"},
+            "eval": {"scores": chain / "scored" / "scores.csv", "data": sim / "sim.csv",
+                     "las": chain / "localized" / "las.csv", "loc_truth": sim / "truth.csv",
+                     "out": chain / "evaled", "t_window": 16},
+        })
+        files = []
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_WORKERS", workers)
+            monkeypatch.setattr(model_mod, "_chunk_windows", lambda cfg: 64)  # 8 chunks
+            for command in ("train", "score", "localize", "eval"):
+                assert main([command, "--config", str(cfg)]) == 0
+            files.append({p.relative_to(chain): p.read_bytes()
+                          for p in sorted(chain.rglob("*")) if p.is_file()})
+            shutil.rmtree(chain)
+        assert len(files[0]) == 15
+        assert files[0] == files[1]
+
+
 class TestResolvedConfigRoundTrip:
     def test_rerun_from_resolved_config_reproduces_checkpoint(self, workspace):
         tmp_path, cfg = workspace
@@ -652,3 +651,52 @@ class TestConfigParsing:
         cfg = tmp_path / "norequired.ini"
         write_config(cfg, {"train": {"out": tmp_path / "o"}})
         assert main(["train", "--config", str(cfg)]) == 2
+
+
+# id: (config text, exit code, start of the one stderr line).  {data} is a
+# valid CSV, {latin1} one whose header has a Latin-1 byte, {file} an existing file.
+_TRAIN = "[train]\ndata = {data}\nout = {out}\n"
+BOUNDARY_CASES = {
+    "out_is_a_file": ("[train]\ndata = {data}\nout = {file}\n", 2, "config error: out "),
+    "out_below_a_file": ("[train]\ndata = {data}\nout = {file}/sub\n", 2,
+                         "config error: out "),
+    "section_header_unclosed": ("[train\ndata = {data}\nout = {out}\n", 2,
+                                "config error: File contains no section headers."),
+    "key_given_twice": (_TRAIN + "seed = 1\nseed = 2\n", 2,
+                        "config error: While reading from"),
+    "section_given_twice": (_TRAIN + "[train]\n", 2, "config error: While reading from"),
+    "line_without_equals": (_TRAIN + "seed\n", 2, "config error: Source contains parsing"),
+    "data_not_utf8": ("[train]\ndata = {latin1}\nout = {out}\n", 3,
+                      "data error: {latin1}: not UTF-8 text"),
+    "learning_rate_nan": (_TRAIN + "learning_rate = nan\n", 2, "config error: learning_rate"),
+    "learning_rate_inf": (_TRAIN + "learning_rate = inf\n", 2, "config error: learning_rate"),
+    "learning_rate_zero": (_TRAIN + "learning_rate = 0\n", 2, "config error: learning_rate"),
+    "learning_rate_negative": (_TRAIN + "learning_rate = -1e-3\n", 2,
+                               "config error: learning_rate"),
+    "lambda_reg_nan": (_TRAIN + "lambda_reg = nan\n", 2, "config error: lambda_reg"),
+    "lambda_reg_inf": (_TRAIN + "lambda_reg = inf\n", 2, "config error: lambda_reg"),
+    "lambda_reg_negative": (_TRAIN + "lambda_reg = -1\n", 2, "config error: lambda_reg"),
+    "unknown_key": (_TRAIN + "not_a_key = 7\n", 2, "config error: unknown keys"),
+    "missing_data_file": ("[train]\ndata = {out}.csv\nout = {out}\n", 3,
+                          "data error: missing input file"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_boundary_failure_is_one_line(tmp_path, capsys, case):
+    """Each failure at the CLI boundary exits with its documented code
+    (2 config, 3 data) and one stderr line, never a traceback."""
+    text, code, start = BOUNDARY_CASES[case]
+    paths = {"data": tmp_path / "data.csv", "latin1": tmp_path / "latin1.csv",
+             "file": tmp_path / "file", "out": tmp_path / "out"}
+    paths["data"].write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+    paths["latin1"].write_bytes("a,b\u00e9\n1,2\n3,4\n".encode("latin-1"))
+    paths["file"].write_text("")
+    ini = tmp_path / "boundary.ini"
+    ini.write_text(text.format(**paths), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(ini)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(start.format(**paths))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.out + captured.err

@@ -1,6 +1,7 @@
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +151,104 @@ class TestStackSplit:
             try:
                 signal.alarm(20)
                 code = 0 if linalg.geman_batch(s, 1)[1].tobytes() == grad.tobytes() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestOverlap:
+    """``overlap(produce, consume, items)`` returns the inline list; with
+    two usable CPUs ``consume`` runs on one helper thread, one item at a
+    time, while the caller's thread runs every ``produce``."""
+
+    @staticmethod
+    def _recording(log):
+        def produce(x):
+            log.append(("produce", x, threading.current_thread() is threading.main_thread()))
+            return 10 * x
+
+        def consume(y):
+            log.append(("consume", y, threading.current_thread() is threading.main_thread()))
+            return y + 1
+
+        return produce, consume
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_inline_result_and_threads(self, monkeypatch, workers, n):
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        log = []
+        out = linalg.overlap(*self._recording(log), iter(range(n)))
+        assert out == [10 * x + 1 for x in range(n)]
+        assert sorted(log) == sorted([("produce", x, True) for x in range(n)]
+                                     + [("consume", 10 * x, workers == 1) for x in range(n)])
+        # consume runs in item order, each after its own produce
+        consumed = [y for step, y, _ in log if step == "consume"]
+        assert consumed == [10 * x for x in range(n)]
+        for x in range(n):
+            assert log.index(("produce", x, True)) < log.index(("consume", 10 * x, workers == 1))
+
+    def test_one_consume_in_flight(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        busy, overlaps = [], []
+
+        def consume(y):
+            overlaps.append(len(busy))
+            busy.append(y)
+            time.sleep(0.002)
+            busy.remove(y)
+            return y
+
+        assert linalg.overlap(lambda x: x, consume, range(20)) == list(range(20))
+        assert overlaps == [0] * 20
+
+    def test_linalg_error_in_consume_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        nan = np.full((1, 4, 4), np.nan)
+        where = []
+
+        def consume(m):
+            where.append(threading.current_thread() is threading.main_thread())
+            return np.linalg.svd(m, compute_uv=False)
+
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            linalg.overlap(lambda x: x, consume, [np.eye(4)[None], nan, np.eye(4)[None]])
+        assert where and not any(where)
+
+    def test_no_helper_task_outlives_failing_produce(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        started, finished = threading.Event(), []
+
+        def produce(x):
+            if x == 1:
+                assert started.wait(10)
+                raise RuntimeError("produce failed")
+            return x
+
+        def consume(y):
+            started.set()
+            time.sleep(0.1)
+            finished.append(y)
+
+        with pytest.raises(RuntimeError, match="produce failed"):
+            linalg.overlap(produce, consume, range(3))
+        assert finished == [0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_helper(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        expected = [x * x for x in range(4)]
+        assert linalg.overlap(lambda x: x, lambda y: y * y, range(4)) == expected
+        assert linalg._helper is not None  # the parent's helper exists from here on
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only if it starts a helper of its own
+            code = 1
+            try:
+                signal.alarm(20)
+                fresh = linalg._helper is None and linalg._pool is None
+                result = linalg.overlap(lambda x: x, lambda y: y * y, range(4))
+                code = 0 if fresh and result == expected else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)

@@ -342,6 +342,24 @@ class TestChunking:
             outputs.append([getattr(series, name).tobytes() for name in names])
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_outputs_independent_of_helper_thread(self, monkeypatch):
+        """With two usable CPUs each chunk's spectrum runs on the helper of
+        :func:`linalg.overlap`; h1 and every scoring array keep their bits."""
+        cfg = tiny_cfg(max_epochs=2)
+        frame = TimeSeriesFrame(values=np.random.default_rng(24).normal(size=(90, 3)),
+                                names=("a", "b", "c"))
+        names = ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series",
+                 "from_first_window")
+        monkeypatch.setattr(model, "_chunk_windows", lambda cfg: 7)  # 12 chunks
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_WORKERS", workers)
+            result = model.train(frame, cfg)
+            series = model.score_frame(frame, result.params, cfg, result.thresholds.h1)
+            outputs.append([result.thresholds.h1]
+                           + [getattr(series, name).tobytes() for name in names])
+        assert outputs[0] == outputs[1]
+
     def test_chunked_mean_loss_matches_one_shot(self, monkeypatch):
         cfg = tiny_cfg(lambda_reg=3.0)
         params = random_params(cfg, 3, seed=20)
