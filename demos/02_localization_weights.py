@@ -48,9 +48,9 @@ def pinned_encoder(rng):
     qk = lambda: rng.uniform(-bound, bound, size=(1, 2, 2))
     layers = [
         attention.AttentionLayerParams(w_q=qk(), w_k=qk(), w_v=np.eye(2)[None],
-                                       w_proj=np.eye(2), layer_index=0),
+                                       w_proj=np.eye(2)),
         attention.AttentionLayerParams(w_q=qk(), w_k=qk(), w_v=W_V2[None].copy(),
-                                       w_proj=np.eye(2), layer_index=1),
+                                       w_proj=np.eye(2)),
     ]
     return model.ModelParams(kernels=kernels, layers=layers, w_out=W_OUT.copy())
 

@@ -16,8 +16,7 @@ rng = np.random.default_rng(0)
 
 print("=== single configuration, spelled out ===")
 d_model, t_window, layers = 4, 8, 3
-params = [attention.init_layer_params(d_model, 1, layer_index=l,
-                                      rng=np.random.default_rng(10 + l))
+params = [attention.init_layer_params(d_model, 1, np.random.default_rng(10 + l))
           for l in range(layers)]
 x = rng.normal(size=(t_window, d_model))
 
@@ -28,7 +27,7 @@ print(f"subset terms: 2^L = {2**layers} (identity term included)")
 print(f"max |forward - unrolled| = {np.abs(z_forward - z_unrolled).max():.3e}")
 
 no_skip_layers, z_ns = star_verify.harvest_layers(params, x, skip=False)
-row = star_verify.unroll_no_skip(no_skip_layers, x, t=t_window - 1)
+row = star_verify.unroll_no_skip(no_skip_layers, x)[t_window - 1]
 print(f"no-skip last-row product form error = {np.abs(row - z_ns[-1]).max():.3e}")
 
 print("\n=== verification grid (the acceptance configuration) ===")

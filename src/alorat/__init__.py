@@ -8,10 +8,8 @@ from .linalg import spectrum
 from .embedding import (
     PairSelection,
     EmbeddingKernels,
-    spearman,
     select_pairs,
     init_kernels,
-    embed,
 )
 from .attention import AttentionLayerParams
 from .model import (
@@ -23,7 +21,6 @@ from .model import (
     NumericError,
     total_loss,
     train,
-    calibrate_h1,
     score_frame,
     save_checkpoint,
     load_checkpoint,
@@ -39,7 +36,6 @@ from .localize import (
 )
 from .metrics import (
     EventSegment,
-    LocalizationTruth,
     events_from_labels,
     best_f1_sweep,
     affiliation_pr,
@@ -49,12 +45,12 @@ from .metrics import (
 )
 from .data import (
     DataError,
+    LocalizationTruth,
     TimeSeriesFrame,
     NormStats,
     load_csv,
     save_csv,
     normalize,
-    denormalize,
     downsample_mean,
     windows,
     simulate_mean_shift,

@@ -37,7 +37,6 @@ class AttentionLayerParams:
     w_k: np.ndarray
     w_v: np.ndarray
     w_proj: np.ndarray
-    layer_index: int = 0
 
     def __post_init__(self):
         h, dm, dh = self.w_q.shape
@@ -58,13 +57,7 @@ class AttentionLayerParams:
         return self.w_q.shape[1]
 
 
-def init_layer_params(
-    d_model: int, heads: int, layer_index: int = 0, rng: np.random.Generator | None = None
-) -> AttentionLayerParams:
-    if d_model % heads != 0:
-        raise ValueError(f"heads {heads} must divide d_model {d_model}")
-    if rng is None:
-        rng = np.random.default_rng()
+def init_layer_params(d_model: int, heads: int, rng: np.random.Generator) -> AttentionLayerParams:
     dh = d_model // heads
     bound = 1.0 / np.sqrt(d_model)
 
@@ -76,7 +69,6 @@ def init_layer_params(
         w_k=draw(heads, d_model, dh),
         w_v=draw(heads, d_model, dh),
         w_proj=draw(d_model, d_model),
-        layer_index=layer_index,
     )
 
 

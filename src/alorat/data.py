@@ -30,7 +30,6 @@ __all__ = [
     "load_loc_truth",
     "save_loc_truth",
     "normalize",
-    "denormalize",
     "downsample_mean",
     "windows",
     "simulate_mean_shift",
@@ -265,11 +264,6 @@ def normalize(frame: TimeSeriesFrame, stats: NormStats | None = None):
     return replace(frame, values=out), stats
 
 
-def denormalize(frame: TimeSeriesFrame, stats: NormStats) -> TimeSeriesFrame:
-    safe_std = np.where(stats.std == 0.0, 1.0, stats.std)
-    return replace(frame, values=frame.values * safe_std + stats.mean)
-
-
 def downsample_mean(frame: TimeSeriesFrame, factor: int) -> TimeSeriesFrame:
     """Average non-overlapping blocks of ``factor`` rows; a trailing partial
     block is averaged over its actual length.  Labels downsample by the
@@ -298,25 +292,21 @@ def downsample_mean(frame: TimeSeriesFrame, factor: int) -> TimeSeriesFrame:
     return TimeSeriesFrame(values=values, names=frame.names, labels=labels, loc_truth=loc_truth)
 
 
-def windows(values, t: int, stride: int = 1) -> np.ndarray:
-    """Overlapping windows [s, s+t) for s = 0, stride, ...; shape
-    (count, t, d) with count = floor((N - t) / stride) + 1.
+def windows(values, t: int) -> np.ndarray:
+    """Overlapping windows [s, s+t) for s = 0, 1, ..., N - t of an N x d
+    array; shape (N - t + 1, t, d).
 
     The result is a read-only view that shares memory with ``values``: no
     window is copied, so its ``nbytes`` counts every row once per window
     while it occupies only the N x d input.  Callers that write to windows
     copy them first, e.g. with ``np.array(win)``; fancy indexing such as
     ``win[idx]`` already returns a copy."""
-    if isinstance(values, TimeSeriesFrame):
-        values = values.values
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2:
-        raise DataError("windows expects an N x d array or frame")
-    if stride < 1:
-        raise DataError("stride must be >= 1")
+        raise DataError("windows expects an N x d array")
     if v.shape[0] < t:
         raise DataError(f"series length {v.shape[0]} shorter than window {t}")
-    return np.lib.stride_tricks.sliding_window_view(v, (t, v.shape[1]))[::stride, 0]
+    return np.lib.stride_tricks.sliding_window_view(v, (t, v.shape[1]))[:, 0]
 
 
 # -- synthetic data ----------------------------------------------------------------

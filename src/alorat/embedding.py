@@ -20,10 +20,8 @@ from .data import DataError, write_table
 __all__ = [
     "PairSelection",
     "EmbeddingKernels",
-    "spearman",
     "select_pairs",
     "init_kernels",
-    "embed",
     "pair_conv",
 ]
 
@@ -97,27 +95,6 @@ def _rank_average(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x, y) -> float:
-    """Spearman rank correlation with average-rank tie handling.
-
-    A constant input has no defined rank correlation; 0 is returned and a
-    RuntimeWarning is emitted.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
-        raise ValueError("spearman needs two equal-length 1-D sequences of length >= 2")
-    rx = _rank_average(xa)
-    ry = _rank_average(ya)
-    sx = rx.std()
-    sy = ry.std()
-    if sx == 0.0 or sy == 0.0:
-        warnings.warn("constant sequence: rank correlation undefined, using 0", RuntimeWarning)
-        return 0.0
-    corr = np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy)
-    return float(np.clip(corr, -1.0, 1.0))
-
-
 def select_pairs(train, k: int, method: str = "spearman") -> PairSelection:
     """Top-k series pairs ranked by correlation magnitude, descending; ties
     broken by lexicographic (i, j).  All C(d, 2) pairs are included when
@@ -156,14 +133,12 @@ def init_kernels(
     selection: PairSelection,
     n_series: int,
     d_model: int,
-    m: int = 3,
-    rng: np.random.Generator | None = None,
+    m: int,
+    rng: np.random.Generator,
 ) -> EmbeddingKernels:
     """Assign ranked pairs to channels (:meth:`PairSelection.channels`) and
     draw fan-in-scaled uniform initial weights."""
     pair_arr = selection.channels(d_model)
-    if rng is None:
-        rng = np.random.default_rng()
     bound = 1.0 / np.sqrt(2.0 * m)
     weights = rng.uniform(-bound, bound, size=(d_model, 2, m))
     return EmbeddingKernels(n_series=n_series, pairs=pair_arr, weights=weights)
@@ -208,14 +183,3 @@ def pair_conv(x: np.ndarray, weights: Tensor, pairs: np.ndarray) -> Tensor:
     out = out.reshape(x.shape[:-1] + (d_model,))
     return Tensor(out, weights.requires_grad, (weights,), backward)
 
-
-def embed(window, kernels: EmbeddingKernels) -> np.ndarray:
-    """Embed a T x d window to T x d_model with zero-padded boundaries."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("window must be 2-D")
-    if x.shape[1] != kernels.n_series:
-        raise ValueError(f"window has {x.shape[1]} series, kernels expect {kernels.n_series}")
-    if x.shape[0] < kernels.m:
-        raise ValueError(f"window of {x.shape[0]} rows shorter than kernel size {kernels.m}")
-    return pair_conv(x, Tensor(kernels.weights), kernels.pairs).data

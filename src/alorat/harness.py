@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -92,6 +93,16 @@ _SCHEMAS = {
 }
 
 
+# key -> (requirement, test): range checks that name the key, in every section that has it.
+_LIMITS = {
+    "seed": (">= 0", lambda v: v >= 0),
+    **dict.fromkeys(("n", "downsample", "configs"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("delta", "mu1", "mu2", "inject_magnitude"), ("finite", math.isfinite)),
+    **dict.fromkeys(("sigma1", "sigma2"), ("finite and >= 0", lambda v: 0 <= v < math.inf)),
+    "tolerance": ("finite and > 0", lambda v: 0 < v < math.inf),
+}
+
+
 def _load_section(config_path: str | None, command: str, overrides: dict) -> dict:
     schema = _SCHEMAS[command]
     raw: dict[str, str] = {}
@@ -119,6 +130,8 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
             raise ConfigError(f"[{command}] is missing required key {key!r}")
         else:
             resolved[key] = default
+        if key in _LIMITS and resolved[key] is not None and not _LIMITS[key][1](resolved[key]):
+            raise ConfigError(f"{key} must be {_LIMITS[key][0]}")
     return resolved
 
 
@@ -149,8 +162,6 @@ def _require_file(path: str) -> str:
 
 def cmd_train(resolved: dict) -> int:
     cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
-    if resolved["downsample"] < 1:
-        raise ConfigError("downsample must be >= 1")
     out = _prepare_out(resolved, "train")
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     frame = data_mod.downsample_mean(frame, resolved["downsample"])
@@ -309,27 +320,30 @@ def cmd_eval(resolved: dict) -> int:
 
 
 def cmd_simulate(resolved: dict) -> int:
-    out = _prepare_out(resolved, "simulate")
-    frame = data_mod.simulate_mean_shift(
-        n=resolved["n"],
-        t1=resolved["t1"],
-        t2=resolved["t2"],
-        delta=resolved["delta"],
-        mu=(resolved["mu1"], resolved["mu2"]),
-        sigma=(resolved["sigma1"], resolved["sigma2"]),
-        seed=resolved["seed"],
-    )
-    if resolved["inject_kind"] is not None:
-        if resolved["inject_start"] is None or resolved["inject_end"] is None:
-            raise ConfigError("inject_kind needs inject_start and inject_end")
-        frame = data_mod.inject_anomaly(
-            frame,
-            resolved["inject_kind"],
-            resolved["inject_series"],
-            (resolved["inject_start"], resolved["inject_end"]),
-            resolved["inject_magnitude"],
-            seed=resolved["seed"] + 1,
+    try:  # every argument is a setting
+        frame = data_mod.simulate_mean_shift(
+            n=resolved["n"],
+            t1=resolved["t1"],
+            t2=resolved["t2"],
+            delta=resolved["delta"],
+            mu=(resolved["mu1"], resolved["mu2"]),
+            sigma=(resolved["sigma1"], resolved["sigma2"]),
+            seed=resolved["seed"],
         )
+        if resolved["inject_kind"] is not None:
+            if resolved["inject_start"] is None or resolved["inject_end"] is None:
+                raise ConfigError("inject_kind needs inject_start and inject_end")
+            frame = data_mod.inject_anomaly(
+                frame,
+                resolved["inject_kind"],
+                resolved["inject_series"],
+                (resolved["inject_start"], resolved["inject_end"]),
+                resolved["inject_magnitude"],
+                seed=resolved["seed"] + 1,
+            )
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    out = _prepare_out(resolved, "simulate")
     data_mod.save_csv(frame, out / "sim.csv")
     data_mod.save_loc_truth(frame.loc_truth, out / "sim_loc_truth.csv")
     print(f"wrote {frame.n} x {frame.d} frame -> {out / 'sim.csv'}")
@@ -337,8 +351,6 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_star_check(resolved: dict) -> int:
-    if resolved["configs"] < 1:
-        raise ConfigError("configs must be >= 1")
     out = None
     if resolved["out"] is not None:
         out = _prepare_out(resolved, "star-check")
@@ -389,7 +401,9 @@ def main(argv=None) -> int:
         resolved = _load_section(
             args.config, args.command, {"seed": getattr(args, "seed", None), "out": args.out}
         )
-        return _COMMANDS[args.command][0](resolved)
+        # A diverging run ends in a NumericError or LinAlgError, not warnings.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command][0](resolved)
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

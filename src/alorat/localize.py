@@ -48,7 +48,6 @@ class ContributionWeights:
     b: np.ndarray
     e: np.ndarray
     c: np.ndarray
-    skip_mode: bool
     mode: str = EXACT_MODE
 
 
@@ -103,7 +102,7 @@ def contribution_weights(params, skip: bool, activation: str = "identity") -> Co
     e = compute_e(params.kernels, b)
     c = compute_c(e, params.w_out)
     mode = EXACT_MODE if activation == "identity" else APPROX_MODE
-    return ContributionWeights(b=b, e=e, c=c, skip_mode=skip, mode=mode)
+    return ContributionWeights(b=b, e=e, c=c, mode=mode)
 
 
 def las(

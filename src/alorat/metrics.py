@@ -20,11 +20,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import LocalizationTruth, write_table
+from .data import write_table
 
 __all__ = [
     "EventSegment",
-    "LocalizationTruth",
     "events_from_labels",
     "best_f1_sweep",
     "f1_sweep_curve",

@@ -26,13 +26,11 @@ __all__ = [
     "Thresholds",
     "ModelParams",
     "ScoreSeries",
-    "LossTerms",
     "TrainResult",
     "init_params",
     "batch_forward",
     "total_loss",
     "train",
-    "calibrate_h1",
     "score_frame",
     "save_checkpoint",
     "load_checkpoint",
@@ -90,9 +88,6 @@ class TrainConfig:
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0 or self.k_pairs < 1:
             raise ValueError("batch_size/max_epochs >= 1, patience >= 0, k_pairs >= 1")
 
-    def mask_matrix(self) -> np.ndarray | None:
-        return linalg.causal_mask(self.t_window) if self.mask == "causal" else None
-
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _PARSERS = {"str": str, "int": int, "float": float,
@@ -115,11 +110,7 @@ def parse_value(kind: str, raw: str, key: str, error: type[ValueError] = ValueEr
 class Thresholds:
     """h1: singular-value cutoff for the rank score."""
 
-    h1: float | None = None
-
-    def __post_init__(self):
-        if self.h1 is not None and self.h1 < 0:
-            raise ValueError("h1 must be >= 0")
+    h1: float
 
 
 _LAYER_ARRAYS = ("w_q", "w_k", "w_v", "w_proj")
@@ -157,14 +148,11 @@ class ModelParams:
 
     @classmethod
     def from_arrays(cls, n_series: int, pairs, arrays: list[np.ndarray]) -> "ModelParams":
-        """Inverse of :meth:`arrays` from the bare arrays in that order;
-        layer ``l`` gets ``layer_index=l``."""
+        """Inverse of :meth:`arrays` from the bare arrays in that order."""
         per = len(_LAYER_ARRAYS)
         layers = [
-            attention.AttentionLayerParams(
-                **dict(zip(_LAYER_ARRAYS, arrays[1 + l * per : 1 + (l + 1) * per])), layer_index=l
-            )
-            for l in range((len(arrays) - 2) // per)
+            attention.AttentionLayerParams(**dict(zip(_LAYER_ARRAYS, arrays[i : i + per])))
+            for i in range(1, len(arrays) - 1, per)
         ]
         kernels = embedding.EmbeddingKernels(n_series=n_series, pairs=pairs, weights=arrays[0])
         return cls(kernels=kernels, layers=layers, w_out=arrays[-1])
@@ -178,21 +166,13 @@ class ModelParams:
 @dataclass
 class ScoreSeries:
     """Per-timestep detection outputs.  Timesteps before the first full
-    window are scored from the first window and flagged.  The anomaly and
-    rank scores are None when scoring ran without h1."""
+    window are scored from the first window.  The anomaly and rank scores
+    are None when scoring ran without h1."""
 
     anomaly_score: np.ndarray | None
     alora_score: np.ndarray | None
     residual_sq: np.ndarray
     residual_sq_per_series: np.ndarray
-    from_first_window: np.ndarray
-
-
-@dataclass
-class LossTerms:
-    total: float
-    recon: float
-    reg: float
 
 
 @dataclass
@@ -226,7 +206,7 @@ def _forward_t(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: Trai
 
     Returns (final latent Tensor (B, T, d_model), list of head-averaged
     attention Tensors (B, T, T))."""
-    mask = cfg.mask_matrix()
+    mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
     z = embedding.pair_conv(x, leaves[0], pairs)
     s_avgs = []
     per = len(_LAYER_ARRAYS)
@@ -265,17 +245,12 @@ def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
     return z.data @ params.w_out, [s.data for s in s_avgs]
 
 
-def total_loss(batch, params: ModelParams, cfg: TrainConfig) -> LossTerms:
-    """Summed squared reconstruction error over the batch plus the
+def total_loss(batch: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
+    """Summed squared reconstruction error over a (B, T, d) batch plus the
     lambda-weighted Geman penalties of every layer's attention matrices."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    recon, s_layers = batch_forward(x, params, cfg)
-    recon_term = float(np.sum((x - recon) ** 2))
+    recon, s_layers = batch_forward(batch, params, cfg)
     reg = sum(linalg.geman_batch(s, cfg.r, grad=False)[0] for s in s_layers)
-    reg_term = cfg.lambda_reg * reg
-    return LossTerms(total=recon_term + reg_term, recon=recon_term, reg=reg_term)
+    return float(np.sum((batch - recon) ** 2)) + cfg.lambda_reg * reg
 
 
 # -- training ---------------------------------------------------------------------
@@ -287,10 +262,7 @@ def init_params(values: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
     kernels = embedding.init_kernels(
         selection, n_series=values.shape[1], d_model=cfg.d_model, m=cfg.kernel_size, rng=rng
     )
-    layers = [
-        attention.init_layer_params(cfg.d_model, cfg.heads, layer_index=l, rng=rng)
-        for l in range(cfg.layers)
-    ]
+    layers = [attention.init_layer_params(cfg.d_model, cfg.heads, rng) for _ in range(cfg.layers)]
     bound = 1.0 / np.sqrt(cfg.d_model)
     w_out = rng.uniform(-bound, bound, size=(cfg.d_model, values.shape[1]))
     params = ModelParams(kernels=kernels, layers=layers, w_out=w_out)
@@ -299,25 +271,15 @@ def init_params(values: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
 
 def _mean_loss(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
     """Mean per-window :func:`total_loss`, summed chunk by chunk."""
-    total = sum(total_loss(chunk, params, cfg).total for chunk in _chunks(win, cfg))
+    total = sum(total_loss(chunk, params, cfg) for chunk in _chunks(win, cfg))
     return total / win.shape[0]
 
 
-def calibrate_h1(fourth, fifth) -> float:
-    """Cutoff rule: the maximum value observed across the two singular-value
-    trajectories."""
-    both = np.concatenate([np.asarray(fourth, dtype=np.float64).ravel(),
-                           np.asarray(fifth, dtype=np.float64).ravel()])
-    if both.size == 0:
-        return 0.0
-    return float(np.max(both))
-
-
 def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
-    """:func:`calibrate_h1` over the final layer's 4th and 5th singular
-    values on every window (the trailing ones when T < 5).  Each chunk's
-    largest value is made exact by a second :func:`linalg.spectrum` call
-    near it."""
+    """The cutoff rule: the largest of the final layer's 4th and 5th
+    singular values over every window (the trailing ones when T < 5).  Each
+    chunk's largest value is made exact by a second :func:`linalg.spectrum`
+    call near it."""
     idx = [i for i in (3, 4) if i < cfg.t_window] or [cfg.t_window - 1]
 
     def final_layer(chunk):
@@ -328,7 +290,7 @@ def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> f
         return linalg.spectrum(s_final, near=float(sigma.max()))[:, idx]
 
     traj = np.concatenate(linalg.overlap(final_layer, sig_cols, _chunks(win, cfg)), axis=0)
-    return calibrate_h1(traj[:, 0], traj[:, -1])
+    return float(traj.max())
 
 
 # Bytes of one chunk's (windows, heads, T, T) attention stack.  Chunks this
@@ -373,7 +335,7 @@ def train(
     values = train_frame.values
     if values.shape[0] < cfg.t_window:
         raise DataError(f"training length {values.shape[0]} shorter than window {cfg.t_window}")
-    win = windows(values, cfg.t_window, stride=1)
+    win = windows(values, cfg.t_window)
     num = win.shape[0]
     if num < 2:
         raise DataError("need at least 2 training windows for the validation split")
@@ -463,7 +425,7 @@ def score_frame(
     frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h1: float | None
 ) -> ScoreSeries:
     """Score every timestep: each t is the last row of its window; the
-    first T-1 timesteps reuse the first window and are flagged.  Windows
+    first T-1 timesteps reuse the first window.  Windows
     are forwarded chunk by chunk from a view of ``frame``, so memory is the
     O(N·d) outputs plus two chunks: the spectrum of one chunk is taken by
     :func:`linalg.overlap` while the next is forwarded.  With ``h1=None`` no
@@ -474,7 +436,7 @@ def score_frame(
     t_len = cfg.t_window
     if n < t_len:
         raise DataError(f"test length {n} shorter than window {t_len}")
-    win = windows(values, t_len, stride=1)
+    win = windows(values, t_len)
 
     res_per_series = np.empty((n, d))
     offset = 0
@@ -505,14 +467,11 @@ def score_frame(
     if not np.isfinite(residual_sq).all():
         raise NumericError("non-finite reconstruction residuals")
     alora = None if h1 is None else np.concatenate([np.full(t_len - 1, counts[0]), counts])
-    from_first = np.zeros(n, dtype=bool)
-    from_first[: t_len - 1] = True
     return ScoreSeries(
         anomaly_score=None if alora is None else residual_sq * alora,
         alora_score=alora,
         residual_sq=residual_sq,
         residual_sq_per_series=res_per_series,
-        from_first_window=from_first,
     )
 
 

@@ -48,7 +48,6 @@ class VerificationReport:
     max_abs_error: float
     max_rel_error: float
     term_count: int
-    tolerance: float
     passed: bool | None
 
     def line(self) -> str:
@@ -67,11 +66,10 @@ def _check_layers(layers):
             raise ValueError("each layer needs at least one (attention, value) pair")
 
 
-def unroll_no_skip(layers, x_embedded, t: int | None = None) -> np.ndarray:
+def unroll_no_skip(layers, x_embedded) -> np.ndarray:
     """Explicit product form: sum over per-layer head choices of
     S^(L)...S^(1) @ X~ @ W^(1)...W^(L).  `layers` is a sequence of
-    [(S_h, W_h), ...] per layer; returns row `t`, or the full T x d_model
-    matrix when `t` is None."""
+    [(S_h, W_h), ...] per layer; returns the T x d_model matrix."""
     _check_layers(layers)
     x = np.asarray(x_embedded, dtype=np.float64)
     total = np.zeros_like(x)
@@ -82,7 +80,7 @@ def unroll_no_skip(layers, x_embedded, t: int | None = None) -> np.ndarray:
             left = layers[l][combo[l]][0] @ left
             right = right @ layers[l][combo[l]][1]
         total += left @ x @ right
-    return total if t is None else total[t]
+    return total
 
 
 def unroll_skip(layers, x_embedded) -> np.ndarray:
@@ -125,7 +123,6 @@ def _error_report(mode, reference, candidate, term_count, tolerance, assertable=
         max_abs_error=abs_err,
         max_rel_error=rel_err,
         term_count=term_count,
-        tolerance=tolerance,
         passed=passed,
     )
 
@@ -188,7 +185,6 @@ def verify_ffn_regroup(b, w_ffn, tolerance: float = 1e-12) -> VerificationReport
         max_abs_error=abs_err,
         max_rel_error=rel_err,
         term_count=b.shape[1],
-        tolerance=tolerance,
         passed=rel_err <= tolerance,
     )
 
@@ -238,10 +234,8 @@ def run_config(config: GridConfig, tolerance: float = DEFAULT_TOLERANCE):
     "no_skip": report}."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x_embedded = rng.normal(size=(config.t_window, config.d_model))
-    params = [
-        attention.init_layer_params(config.d_model, config.heads, layer_index=l, rng=rng)
-        for l in range(config.layers)
-    ]
+    params = [attention.init_layer_params(config.d_model, config.heads, rng)
+              for _ in range(config.layers)]
     mask = linalg.causal_mask(config.t_window) if config.mask == "causal" else None
     return {
         "skip": verify_unrolled(params, x_embedded, skip=True, mask=mask, tolerance=tolerance),

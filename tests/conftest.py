@@ -1,9 +1,10 @@
-"""Shared fixtures: the pinned-matrix bivariate simulation model."""
+"""Shared fixtures: the pinned-matrix bivariate simulation model and the
+h1 cutoff rule."""
 
 import numpy as np
 import pytest
 
-from alorat import attention, data, embedding, model
+from alorat import attention, data, embedding, linalg, model
 from alorat.model import ModelParams, TrainConfig
 
 SIM_W_V2 = np.array([[0.2, 0.7], [0.8, 0.3]])
@@ -28,10 +29,10 @@ def controlled_sim_params(rng) -> ModelParams:
 
     layers = [
         attention.AttentionLayerParams(
-            w_q=qk(), w_k=qk(), w_v=np.eye(2)[None], w_proj=np.eye(2), layer_index=0
+            w_q=qk(), w_k=qk(), w_v=np.eye(2)[None], w_proj=np.eye(2)
         ),
         attention.AttentionLayerParams(
-            w_q=qk(), w_k=qk(), w_v=SIM_W_V2[None].copy(), w_proj=np.eye(2), layer_index=1
+            w_q=qk(), w_k=qk(), w_v=SIM_W_V2[None].copy(), w_proj=np.eye(2)
         ),
     ]
     return ModelParams(kernels=kernels, layers=layers, w_out=SIM_W_OUT.copy())
@@ -64,3 +65,20 @@ def pinned_sim_run():
     shifted_n, _ = data.normalize(shifted, stats)
     series = model.score_frame(shifted_n, result.params, cfg, result.thresholds.h1)
     return cfg, result, shifted, series
+
+
+@pytest.fixture
+def h1_rule(monkeypatch):
+    """Training's h1 rule as a function of given 4th and 5th singular-value
+    trajectories: ``model._h1_from_params`` over windows whose final-layer
+    spectra are stood in for by rows holding those values."""
+    monkeypatch.setattr(model, "batch_forward", lambda chunk, params, cfg: (None, [chunk]))
+    monkeypatch.setattr(linalg, "spectrum", lambda s, near=None: s)
+    cfg = TrainConfig(t_window=5, d_model=2, heads=1)
+
+    def rule(fourth, fifth):
+        sigma = np.zeros((len(fourth), cfg.t_window))
+        sigma[:, 3], sigma[:, 4] = fourth, fifth
+        return model._h1_from_params(sigma, None, cfg)
+
+    return rule

@@ -229,12 +229,12 @@ def test_criterion_5_controlled_simulation():
     )
 
 
-def test_criterion_6_h1_calibration():
+def test_criterion_6_h1_calibration(h1_rule):
     traj4 = np.array([0.011, 0.03, 0.007, 0.02])
     traj5 = np.array([0.002, 0.01, 0.0, 0.004])
-    assert model.calibrate_h1(traj4, traj5) == 0.03
-    assert model.calibrate_h1(np.zeros(10), np.zeros(10)) == 0.0
-    assert model.calibrate_h1([0.1], [0.7]) == 0.7
+    assert h1_rule(traj4, traj5) == 0.03
+    assert h1_rule(np.zeros(10), np.zeros(10)) == 0.0
+    assert h1_rule([0.1], [0.7]) == 0.7
     report(6, "singular-value cutoff calibration (exact max rule)")
 
 

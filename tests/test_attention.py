@@ -215,4 +215,4 @@ class TestValueMaps:
                 w_proj=np.zeros((4, 4)),
             )
         with pytest.raises(ValueError):
-            attention.init_layer_params(5, 2)
+            attention.init_layer_params(5, 2, np.random.default_rng(0))

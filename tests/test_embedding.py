@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alorat import data, embedding
+from alorat.autograd import Tensor
 from alorat.embedding import EmbeddingKernels, PairSelection
 
 
@@ -21,12 +22,18 @@ def rank_then_pearson(x, y):
     return np.corrcoef(rx, ry)[0, 1]
 
 
+def pair_score(x, y):
+    """The Spearman magnitude :func:`embedding.select_pairs` scores the one
+    pair of two series with."""
+    return embedding.select_pairs(np.column_stack([x, y]), 1).scores[0]
+
+
 class TestSpearman:
     def test_monotone_increasing(self):
-        assert embedding.spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
+        assert pair_score([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
 
     def test_monotone_decreasing(self):
-        assert embedding.spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
+        assert pair_score([1, 2, 3], [30, 20, 10]) == pytest.approx(1.0)
 
     def test_ties_against_rank_pearson_oracle(self):
         rng = np.random.default_rng(21)
@@ -35,19 +42,11 @@ class TestSpearman:
             y = rng.integers(0, 4, size=30).astype(float)
             if np.all(x == x[0]) or np.all(y == y[0]):
                 continue
-            assert embedding.spearman(x, y) == pytest.approx(
-                rank_then_pearson(x, y), abs=1e-12
-            )
+            assert pair_score(x, y) == pytest.approx(abs(rank_then_pearson(x, y)), abs=1e-12)
 
     def test_constant_sequence(self):
         with pytest.warns(RuntimeWarning):
-            assert embedding.spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            embedding.spearman([1.0], [2.0])
-        with pytest.raises(ValueError):
-            embedding.spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+            assert pair_score([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
 
 class TestSelectPairs:
@@ -73,7 +72,7 @@ class TestSelectPairs:
         scored = []
         for i in range(8):
             for j in range(i + 1, 8):
-                scored.append((-abs(embedding.spearman(vals[:, i], vals[:, j])), i, j))
+                scored.append((-abs(rank_then_pearson(vals[:, i], vals[:, j])), i, j))
         scored.sort()
         expected = tuple((i, j) for _, i, j in scored[:5])
         assert sel.pairs == expected
@@ -161,6 +160,11 @@ def dense_conv_oracle(window, kernels):
     return out
 
 
+def conv(window, kernels):
+    """One T x d window through :func:`embedding.pair_conv`."""
+    return embedding.pair_conv(window, Tensor(kernels.weights), kernels.pairs).data
+
+
 class TestEmbed:
     def test_identity_filter(self):
         kernels = EmbeddingKernels(
@@ -170,14 +174,14 @@ class TestEmbed:
         )
         rng = np.random.default_rng(8)
         window = rng.normal(size=(10, 3))
-        out = embedding.embed(window, kernels)
+        out = conv(window, kernels)
         np.testing.assert_allclose(out[:, 0], window[:, 1], atol=1e-15)
 
     def test_zero_kernels(self):
         kernels = EmbeddingKernels(
             n_series=2, pairs=np.array([[0, 1]]), weights=np.zeros((1, 2, 3))
         )
-        out = embedding.embed(np.ones((6, 2)), kernels)
+        out = conv(np.ones((6, 2)), kernels)
         np.testing.assert_array_equal(out, np.zeros((6, 1)))
 
     def test_against_dense_conv_oracle(self):
@@ -186,7 +190,7 @@ class TestEmbed:
         kernels = embedding.init_kernels(sel, n_series=4, d_model=5, m=3, rng=rng)
         window = rng.normal(size=(12, 4))
         np.testing.assert_allclose(
-            embedding.embed(window, kernels), dense_conv_oracle(window, kernels), atol=1e-12
+            conv(window, kernels), dense_conv_oracle(window, kernels), atol=1e-12
         )
 
     def test_wider_kernel_against_oracle(self):
@@ -195,7 +199,7 @@ class TestEmbed:
         kernels = embedding.init_kernels(sel, n_series=3, d_model=4, m=5, rng=rng)
         window = rng.normal(size=(9, 3))
         np.testing.assert_allclose(
-            embedding.embed(window, kernels), dense_conv_oracle(window, kernels), atol=1e-12
+            conv(window, kernels), dense_conv_oracle(window, kernels), atol=1e-12
         )
 
     def test_linearity(self):
@@ -204,20 +208,17 @@ class TestEmbed:
         kernels = embedding.init_kernels(sel, n_series=3, d_model=4, m=3, rng=rng)
         x = rng.normal(size=(8, 3))
         y = rng.normal(size=(8, 3))
-        lhs = embedding.embed(2.5 * x - 1.5 * y, kernels)
-        rhs = 2.5 * embedding.embed(x, kernels) - 1.5 * embedding.embed(y, kernels)
+        lhs = conv(2.5 * x - 1.5 * y, kernels)
+        rhs = 2.5 * conv(x, kernels) - 1.5 * conv(y, kernels)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_window_shorter_than_kernel(self):
+        # t_window = 2 with kernel_size = 5 is a valid config: every lag
+        # beyond the window reads zero padding
+        rng = np.random.default_rng(12)
         kernels = EmbeddingKernels(
-            n_series=2, pairs=np.array([[0, 1]]), weights=np.zeros((1, 2, 3))
+            n_series=2, pairs=np.array([[0, 1]]), weights=rng.normal(size=(1, 2, 5))
         )
-        with pytest.raises(ValueError):
-            embedding.embed(np.ones((2, 2)), kernels)
-
-    def test_wrong_series_count(self):
-        kernels = EmbeddingKernels(
-            n_series=3, pairs=np.array([[0, 1]]), weights=np.zeros((1, 2, 3))
-        )
-        with pytest.raises(ValueError):
-            embedding.embed(np.ones((5, 2)), kernels)
+        window = rng.normal(size=(2, 2))
+        np.testing.assert_allclose(conv(window, kernels), dense_conv_oracle(window, kernels),
+                                   atol=1e-12)

@@ -1,4 +1,5 @@
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -506,15 +507,6 @@ class TestSimulateCommand:
         frame = data.load_csv(tmp_path / "o" / "sim.csv")
         assert np.argmax(frame.values[:, 1]) == 400
 
-    def test_non_finite_parameter_exits_3(self, tmp_path, capsys):
-        cfg = tmp_path / "s.ini"
-        write_config(cfg, {"simulate": {"out": tmp_path / "o", "delta": "nan"}})
-        assert main(["simulate", "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "finite" in err
-        assert err.count("\n") == 1
-        assert not (tmp_path / "o" / "sim.csv").exists()
-
 
 class TestStarCheckCommand:
     def test_default_grid_passes(self, capsys):
@@ -653,50 +645,87 @@ class TestConfigParsing:
         assert main(["train", "--config", str(cfg)]) == 2
 
 
-# id: (config text, exit code, start of the one stderr line).  {data} is a
-# valid CSV, {latin1} one whose header has a Latin-1 byte, {file} an existing file.
+# id: (command, config text, exit code, start of the one stderr line).
+# {data} is a valid CSV, {rows30} a 30-row one, {latin1} one whose header has
+# a Latin-1 byte, {file} an existing file.
 _TRAIN = "[train]\ndata = {data}\nout = {out}\n"
+_SIM = "[simulate]\nout = {out}\n"
+_STAR = "[star-check]\nout = {out}\nconfigs = 1\n"
 BOUNDARY_CASES = {
-    "out_is_a_file": ("[train]\ndata = {data}\nout = {file}\n", 2, "config error: out "),
-    "out_below_a_file": ("[train]\ndata = {data}\nout = {file}/sub\n", 2,
+    "out_is_a_file": ("train", "[train]\ndata = {data}\nout = {file}\n", 2, "config error: out "),
+    "out_below_a_file": ("train", "[train]\ndata = {data}\nout = {file}/sub\n", 2,
                          "config error: out "),
-    "section_header_unclosed": ("[train\ndata = {data}\nout = {out}\n", 2,
+    "section_header_unclosed": ("train", "[train\ndata = {data}\nout = {out}\n", 2,
                                 "config error: File contains no section headers."),
-    "key_given_twice": (_TRAIN + "seed = 1\nseed = 2\n", 2,
+    "key_given_twice": ("train", _TRAIN + "seed = 1\nseed = 2\n", 2,
                         "config error: While reading from"),
-    "section_given_twice": (_TRAIN + "[train]\n", 2, "config error: While reading from"),
-    "line_without_equals": (_TRAIN + "seed\n", 2, "config error: Source contains parsing"),
-    "data_not_utf8": ("[train]\ndata = {latin1}\nout = {out}\n", 3,
+    "section_given_twice": ("train", _TRAIN + "[train]\n", 2,
+                            "config error: While reading from"),
+    "line_without_equals": ("train", _TRAIN + "seed\n", 2,
+                            "config error: Source contains parsing"),
+    "data_not_utf8": ("train", "[train]\ndata = {latin1}\nout = {out}\n", 3,
                       "data error: {latin1}: not UTF-8 text"),
-    "learning_rate_nan": (_TRAIN + "learning_rate = nan\n", 2, "config error: learning_rate"),
-    "learning_rate_inf": (_TRAIN + "learning_rate = inf\n", 2, "config error: learning_rate"),
-    "learning_rate_zero": (_TRAIN + "learning_rate = 0\n", 2, "config error: learning_rate"),
-    "learning_rate_negative": (_TRAIN + "learning_rate = -1e-3\n", 2,
+    "learning_rate_nan": ("train", _TRAIN + "learning_rate = nan\n", 2,
+                          "config error: learning_rate"),
+    "learning_rate_inf": ("train", _TRAIN + "learning_rate = inf\n", 2,
+                          "config error: learning_rate"),
+    "learning_rate_zero": ("train", _TRAIN + "learning_rate = 0\n", 2,
+                           "config error: learning_rate"),
+    "learning_rate_negative": ("train", _TRAIN + "learning_rate = -1e-3\n", 2,
                                "config error: learning_rate"),
-    "lambda_reg_nan": (_TRAIN + "lambda_reg = nan\n", 2, "config error: lambda_reg"),
-    "lambda_reg_inf": (_TRAIN + "lambda_reg = inf\n", 2, "config error: lambda_reg"),
-    "lambda_reg_negative": (_TRAIN + "lambda_reg = -1\n", 2, "config error: lambda_reg"),
-    "unknown_key": (_TRAIN + "not_a_key = 7\n", 2, "config error: unknown keys"),
-    "missing_data_file": ("[train]\ndata = {out}.csv\nout = {out}\n", 3,
+    # finite and positive: training diverges at epoch 0
+    "learning_rate_huge": ("train", "[train]\ndata = {rows30}\nout = {out}\nt_window = 4\n"
+                           "d_model = 4\nheads = 2\nlayers = 1\nmax_epochs = 2\n"
+                           "learning_rate = 1e300\n", 4, "numeric failure: "),
+    "lambda_reg_nan": ("train", _TRAIN + "lambda_reg = nan\n", 2, "config error: lambda_reg"),
+    "lambda_reg_inf": ("train", _TRAIN + "lambda_reg = inf\n", 2, "config error: lambda_reg"),
+    "lambda_reg_negative": ("train", _TRAIN + "lambda_reg = -1\n", 2,
+                            "config error: lambda_reg"),
+    "unknown_key": ("train", _TRAIN + "not_a_key = 7\n", 2, "config error: unknown keys"),
+    "missing_data_file": ("train", "[train]\ndata = {out}.csv\nout = {out}\n", 3,
                           "data error: missing input file"),
+    "simulate_sigma1_negative": ("simulate", _SIM + "sigma1 = -1\n", 2,
+                                 "config error: sigma1 must be"),
+    "simulate_n_negative": ("simulate", _SIM + "n = -5\n", 2, "config error: n must be"),
+    "simulate_delta_nan": ("simulate", _SIM + "delta = nan\n", 2,
+                           "config error: delta must be"),
+    "simulate_t2_beyond_n": ("simulate", _SIM + "n = 250\n", 2,
+                             "config error: need 0 <= t1 < t2 <= n"),
+    "star_check_seed_negative": ("star-check", _STAR + "seed = -1\n", 2,
+                                 "config error: seed must be"),
+    "star_check_tolerance_nan": ("star-check", _STAR + "tolerance = nan\n", 2,
+                                 "config error: tolerance must be"),
+    "star_check_tolerance_zero": ("star-check", _STAR + "tolerance = 0\n", 2,
+                                  "config error: tolerance must be"),
 }
 
 
 @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
 def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     """Each failure at the CLI boundary exits with its documented code
-    (2 config, 3 data) and one stderr line, never a traceback."""
-    text, code, start = BOUNDARY_CASES[case]
-    paths = {"data": tmp_path / "data.csv", "latin1": tmp_path / "latin1.csv",
-             "file": tmp_path / "file", "out": tmp_path / "out"}
+    (2 config, 3 data, 4 numeric) and one stderr line, never a traceback
+    and no warning, which would print lines of its own.  A config error
+    writes no output."""
+    command, text, code, start = BOUNDARY_CASES[case]
+    paths = {"data": tmp_path / "data.csv", "rows30": tmp_path / "rows30.csv",
+             "latin1": tmp_path / "latin1.csv", "file": tmp_path / "file",
+             "out": tmp_path / "out"}
     paths["data"].write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+    rows = np.random.default_rng(0).normal(size=(30, 2)).tolist()
+    paths["rows30"].write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows),
+                               encoding="utf-8")
     paths["latin1"].write_bytes("a,b\u00e9\n1,2\n3,4\n".encode("latin-1"))
     paths["file"].write_text("")
     ini = tmp_path / "boundary.ini"
     ini.write_text(text.format(**paths), encoding="utf-8")
     capsys.readouterr()
-    assert main(["train", "--config", str(ini)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(ini)]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(start.format(**paths))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.out + captured.err
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        assert not paths["out"].exists()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from alorat import metrics
-from alorat.data import DataError
-from alorat.metrics import EventSegment, LocalizationTruth
+from alorat.data import DataError, LocalizationTruth
+from alorat.metrics import EventSegment
 
 
 def sweep_oracle(scores, labels):

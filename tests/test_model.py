@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,9 +57,8 @@ def zero_params(cfg, d):
             w_k=np.zeros((cfg.heads, cfg.d_model, dh)),
             w_v=np.zeros((cfg.heads, cfg.d_model, dh)),
             w_proj=np.zeros((cfg.d_model, cfg.d_model)),
-            layer_index=l,
         )
-        for l in range(cfg.layers)
+        for _ in range(cfg.layers)
     ]
     return ModelParams(kernels=kernels, layers=layers, w_out=np.zeros((cfg.d_model, d)))
 
@@ -92,11 +92,13 @@ class TestForward:
         window = np.random.default_rng(2).normal(size=(8, 2))
         recon, s_layers = forward_one(window, params, cfg)
         np.testing.assert_allclose(recon, window, atol=1e-12)
-        # with perfect reconstruction the objective is the penalty term alone
-        terms = model.total_loss(window, params, cfg)
+        # with perfect reconstruction the objective is the penalty term alone;
+        # at lambda 0 it is the reconstruction term alone
+        total = model.total_loss(window[None], params, cfg)
+        recon_term = model.total_loss(window[None], params, replace(cfg, lambda_reg=0.0))
         reg = cfg.lambda_reg * linalg.geman_batch(s_layers[0][None], cfg.r)[0]
-        assert terms.recon == pytest.approx(0.0, abs=1e-20)
-        assert terms.total == pytest.approx(reg, rel=1e-12, abs=1e-15)
+        assert recon_term == pytest.approx(0.0, abs=1e-20)
+        assert total == pytest.approx(reg, rel=1e-12, abs=1e-15)
 
     def test_against_module_chain_oracle(self):
         cfg = tiny_cfg(mask="causal")
@@ -104,8 +106,8 @@ class TestForward:
         window = np.random.default_rng(6).normal(size=(8, 3))
         recon, s_layers = forward_one(window, params, cfg)
 
-        z = embedding.embed(window, params.kernels)
-        mask = cfg.mask_matrix()
+        z = embedding.pair_conv(window, Tensor(params.kernels.weights), params.kernels.pairs).data
+        mask = linalg.causal_mask(cfg.t_window)
         for p, s_expected in zip(params.layers, s_layers):
             z, s_avg = layer_forward(
                 z, p, skip=cfg.skip, activation=cfg.activation, mask=mask
@@ -131,16 +133,17 @@ class TestTotalLoss:
         cfg = tiny_cfg(lambda_reg=0.0)
         params = random_params(cfg, 3, seed=8)
         batch = np.random.default_rng(9).normal(size=(4, 8, 3))
-        terms = model.total_loss(batch, params, cfg)
+        total = model.total_loss(batch, params, cfg)
         recon, _ = model.batch_forward(batch, params, cfg)
-        assert terms.reg == 0.0
-        assert terms.total == pytest.approx(np.sum((batch - recon) ** 2))
+        # the penalty term adds exactly 0.0
+        assert total == float(np.sum((batch - recon) ** 2))
 
     def test_termwise_oracle(self):
         cfg = tiny_cfg(lambda_reg=3.5)
         params = random_params(cfg, 3, seed=10)
         batch = np.random.default_rng(11).normal(size=(5, 8, 3))
-        terms = model.total_loss(batch, params, cfg)
+        total = model.total_loss(batch, params, cfg)
+        recon_term = model.total_loss(batch, params, replace(cfg, lambda_reg=0.0))
 
         expected_recon = 0.0
         expected_reg = 0.0
@@ -149,22 +152,22 @@ class TestTotalLoss:
             expected_recon += np.sum((window - recon) ** 2)
             for s in s_layers:
                 expected_reg += cfg.lambda_reg * linalg.geman_batch(s[None], cfg.r)[0]
-        assert terms.recon == pytest.approx(expected_recon, rel=1e-10)
-        assert terms.reg == pytest.approx(expected_reg, rel=1e-10)
-        assert terms.total == pytest.approx(expected_recon + expected_reg, rel=1e-10)
+        assert recon_term == pytest.approx(expected_recon, rel=1e-10)
+        assert total - recon_term == pytest.approx(expected_reg, rel=1e-10)
+        assert total == pytest.approx(expected_recon + expected_reg, rel=1e-10)
 
 
 class TestCalibration:
-    def test_max_rule(self):
+    def test_max_rule(self, h1_rule):
         fourth = [0.01, 0.03, 0.02]
         fifth = [0.005, 0.01, 0.002]
-        assert model.calibrate_h1(fourth, fifth) == 0.03
+        assert h1_rule(fourth, fifth) == 0.03
 
-    def test_degenerate_zeros(self):
-        assert model.calibrate_h1(np.zeros(5), np.zeros(5)) == 0.0
+    def test_degenerate_zeros(self, h1_rule):
+        assert h1_rule(np.zeros(5), np.zeros(5)) == 0.0
 
-    def test_fifth_can_dominate(self):
-        assert model.calibrate_h1([0.1, 0.2], [0.5, 0.0]) == 0.5
+    def test_fifth_can_dominate(self, h1_rule):
+        assert h1_rule([0.1, 0.2], [0.5, 0.0]) == 0.5
 
     @pytest.mark.parametrize("t_window", [3, 4, 8])
     def test_trained_h1_matches_trajectory_max(self, t_window):
@@ -175,7 +178,7 @@ class TestCalibration:
         cfg = tiny_cfg(t_window=t_window, d_model=2, heads=1, layers=1,
                        max_epochs=1, k_pairs=1)
         result = model.train(frame, cfg)
-        win = data.windows(frame.values, t_window, 1)
+        win = data.windows(frame.values, t_window)
         _, s_layers = model.batch_forward(win, result.params, cfg)
         sigma = np.linalg.svd(s_layers[-1], compute_uv=False)
         idx = [i for i in (3, 4) if i < t_window] or [t_window - 1]
@@ -298,13 +301,11 @@ class TestScoreFrame:
         for t in (t_len - 1, t_len + 3, 19):
             window = values[t - t_len + 1 : t + 1]
             assert series.anomaly_score[t] == pytest.approx(expected(window, -1, t), rel=1e-10)
-        # early timesteps come from the first window and are flagged
+        # early timesteps come from the first window
         for t in range(t_len - 1):
             assert series.anomaly_score[t] == pytest.approx(
                 expected(values[:t_len], t, t), rel=1e-10
             )
-            assert series.from_first_window[t]
-        assert not series.from_first_window[t_len - 1 :].any()
 
     def test_anomaly_is_residual_times_rank(self):
         cfg = tiny_cfg()
@@ -333,8 +334,7 @@ class TestChunking:
         params = random_params(cfg, 3, seed=18)
         values = np.random.default_rng(19).normal(size=(60, 3))
         frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
-        names = ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series",
-                 "from_first_window")
+        names = ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series")
         outputs = []
         for size in (1, 7, values.shape[0] - cfg.t_window + 1):
             monkeypatch.setattr(model, "_chunk_windows", lambda cfg, size=size: size)
@@ -348,8 +348,7 @@ class TestChunking:
         cfg = tiny_cfg(max_epochs=2)
         frame = TimeSeriesFrame(values=np.random.default_rng(24).normal(size=(90, 3)),
                                 names=("a", "b", "c"))
-        names = ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series",
-                 "from_first_window")
+        names = ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series")
         monkeypatch.setattr(model, "_chunk_windows", lambda cfg: 7)  # 12 chunks
         outputs = []
         for workers in (1, 2):
@@ -364,7 +363,7 @@ class TestChunking:
         cfg = tiny_cfg(lambda_reg=3.0)
         params = random_params(cfg, 3, seed=20)
         win = data.windows(np.random.default_rng(21).normal(size=(80, 3)), cfg.t_window)
-        one_shot = model.total_loss(win, params, cfg).total / win.shape[0]
+        one_shot = model.total_loss(win, params, cfg) / win.shape[0]
         monkeypatch.setattr(model, "_chunk_windows", lambda cfg: 7)
         assert model._mean_loss(win, params, cfg) == pytest.approx(one_shot, rel=1e-12, abs=0)
 
@@ -543,10 +542,10 @@ class TestObjective:
 
     def test_gradient_matches_total_loss(self):
         """One entry of every parameter array: the tape gradient against
-        central differences of total_loss(x).total / B."""
+        central differences of total_loss(x) / B."""
         cfg, params, x, leaves = self._setup(activation="gelu", mask="causal")
         loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
-        assert float(loss.data) == pytest.approx(model.total_loss(x, params, cfg).total / 3)
+        assert float(loss.data) == pytest.approx(model.total_loss(x, params, cfg) / 3)
         loss.backward()
         rng = np.random.default_rng(42)
         h = 1e-6
@@ -557,7 +556,7 @@ class TestObjective:
                 arrays = [a.copy() for _, a in params.arrays()]
                 arrays[pos].flat[fi] += step
                 moved = ModelParams.from_arrays(params.d_in, params.kernels.pairs, arrays)
-                return model.total_loss(x, moved, cfg).total / x.shape[0]
+                return model.total_loss(x, moved, cfg) / x.shape[0]
 
             fd = (objective(h) - objective(-h)) / (2 * h)
             assert leaf.grad.flat[fi] == pytest.approx(fd, rel=1e-5, abs=1e-8)

@@ -61,7 +61,6 @@ def _write_scores(tmp_path, monkeypatch, h2):
         alora_score=np.array([2, 0]),
         residual_sq=np.array([1.5, 1e-300]),
         residual_sq_per_series=np.zeros((2, 3)),
-        from_first_window=np.array([True, False]),
     )
     monkeypatch.setattr(harness, "_load_model",
                         lambda resolved: (None, SimpleNamespace(t_window=2), None, 0.5, frame))

@@ -3,12 +3,14 @@ boundaries from outside, by attribute.  A refactor that renames one of them,
 or that stops calling it through its module, silently empties that layer's
 figures; these tests catch both."""
 
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 
@@ -77,3 +79,12 @@ def test_traced_calls_stay_on_the_callers_thread(monkeypatch):
     layers = tracer.aggregate()
     assert layers["model.batch_forward.calibration"]["calls"] == 12
     assert layers["model.batch_forward.scoring"]["calls"] == 12
+
+
+def test_benchmark_smoke_passes():
+    """perfbench/smoke.py runs every workload at a tiny size on this
+    checkout, so a change that breaks one of the benchmark's reads of the
+    package, such as ``result.thresholds.h1``, fails here."""
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-2000:]
