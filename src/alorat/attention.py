@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag, linalg
-from .autograd import Tensor
 
 __all__ = [
     "AttentionLayerParams",
@@ -92,25 +91,27 @@ def per_head_value_maps(params: AttentionLayerParams) -> np.ndarray:
 
 
 def forward_t(
-    z: Tensor,
-    w_q: Tensor,
-    w_k: Tensor,
-    w_v: Tensor,
-    w_proj: Tensor,
+    z: np.ndarray,
+    w_q: np.ndarray,
+    w_k: np.ndarray,
+    w_v: np.ndarray,
+    w_proj: np.ndarray,
     skip: bool,
     activation: str,
     mask: np.ndarray | None,
 ):
     """One layer over a (..., T, d_model) stack; returns (z_next, s_avg,
-    s_heads): the output Tensor, the head-averaged attention Tensor
-    (..., T, T) and the per-head attention array (..., H, T, T).
+    s_heads, backward): the output, the head-averaged attention (..., T, T),
+    the per-head attention (..., H, T, T), and ``backward(d_next, d_s)``,
+    which maps the gradients of z_next and s_avg to those of (z, w_q, w_k,
+    w_v, w_proj).  Inference drops ``backward`` at once, so the arrays it
+    holds are freed with the call.
 
     Queries, keys and values come from one (B*T, d_model) @ (d_model,
     3*d_model) product with the 1/sqrt(d_model) scale folded into the query
     columns.  The backward is written out: with P a head's attention, dP
     its incoming gradient (value path plus the share of s_avg's), the
-    logits get P * (dP - rowsum(dP * P)).  ``z_next`` is the node that holds
-    it; ``s_avg`` is a node on top of it that only hands its gradient over.
+    logits get P * (dP - rowsum(dP * P)).
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -118,10 +119,10 @@ def forward_t(
     if z.shape[-1] != d_model:
         raise ValueError(f"input shape {z.shape} incompatible with d_model {d_model}")
     lead, t_len = z.shape[:-2], z.shape[-2]
-    z2 = z.data.reshape(-1, d_model)
+    z2 = z.reshape(-1, d_model)
     b = z2.shape[0] // t_len
     scale = 1.0 / np.sqrt(d_model)
-    w_qkv = np.concatenate([w_q.data * scale, w_k.data, w_v.data]).transpose(1, 0, 2)
+    w_qkv = np.concatenate([w_q * scale, w_k, w_v]).transpose(1, 0, 2)
     w_qkv = w_qkv.reshape(d_model, 3 * d_model)
     # Head-major (H, B, T, dh) views: the head mean then adds whole slabs.
     qkv = (z2 @ w_qkv).reshape(b, t_len, 3, heads, dh).transpose(2, 3, 0, 1, 4)
@@ -132,21 +133,17 @@ def forward_t(
     p = linalg.softmax_last(logits)
     s_avg = p.mean(axis=0)
     merged = (p @ v).transpose(1, 2, 0, 3).reshape(-1, d_model)
-    pre = merged @ w_proj.data
+    pre = merged @ w_proj
     if skip:
         pre += z2
     out, th = ag.gelu_parts(pre) if activation == "gelu" else (pre, None)
 
-    inputs = (z, w_q, w_k, w_v, w_proj)
-    d_s = []
-
-    def backward(grad):
-        g = grad.reshape(-1, d_model)
+    def backward(d_next, d_s):
+        g = d_next.reshape(-1, d_model)
         if th is not None:
             g = g * ag.gelu_slope(pre, th)
-        if w_proj.requires_grad:
-            w_proj._accumulate(merged.T @ g)
-        d_o = (g @ w_proj.data.T).reshape(b, t_len, heads, dh).transpose(2, 0, 1, 3)
+        d_proj = merged.T @ g
+        d_o = (g @ w_proj.T).reshape(b, t_len, heads, dh).transpose(2, 0, 1, 3)
         d_qkv = np.empty((b, t_len, 3, heads, dh))
         d_q, d_k, d_v = d_qkv.transpose(2, 3, 0, 1, 4)
         np.matmul(np.swapaxes(p, -1, -2), d_o, out=d_v)
@@ -154,8 +151,7 @@ def forward_t(
         p_km = np.moveaxis(p, -1, 0)
         d_p = np.empty(p_km.shape)
         np.matmul(v, np.swapaxes(d_o, -1, -2), out=np.moveaxis(d_p, 0, -2))
-        if d_s:  # s_avg's gradient, handed over by its node
-            d_p += np.moveaxis(d_s.pop().reshape(b, t_len, t_len), -1, 0)[:, None] * (1.0 / heads)
+        d_p += np.moveaxis(d_s.reshape(b, t_len, t_len), -1, 0)[:, None] * (1.0 / heads)
         d_p -= np.sum(d_p * p_km, axis=0)
         d_p *= p_km
         d_l = np.moveaxis(d_p, 0, -1)
@@ -163,22 +159,11 @@ def forward_t(
         np.matmul(np.swapaxes(d_l, -1, -2), q, out=d_k)
         d_qkv = d_qkv.reshape(-1, 3 * d_model)
         d_w = (z2.T @ d_qkv).reshape(d_model, 3, heads, dh).transpose(1, 2, 0, 3)
-        for w, d, f in zip((w_q, w_k, w_v), d_w, (scale, 1.0, 1.0)):
-            if w.requires_grad:
-                w._accumulate(d * f)
-        if z.requires_grad:
-            d_z = d_qkv @ w_qkv.T
-            if skip:
-                d_z += g
-            z._accumulate(d_z.reshape(z.shape))
+        d_w[0] *= scale
+        d_z = d_qkv @ w_qkv.T
+        if skip:
+            d_z += g
+        return d_z.reshape(z.shape), *d_w, d_proj
 
-    req = any(x.requires_grad for x in inputs)
-    z_next = Tensor(out.reshape(z.shape), req, inputs, backward)
-
-    def hand_over(grad):
-        d_s.append(grad)
-        if z_next.grad is None:  # s_avg alone feeds the loss
-            z_next.grad = np.zeros_like(z_next.data)
-
-    s_node = Tensor(s_avg.reshape(lead + (t_len, t_len)), req, (z_next,), hand_over)
-    return z_next, s_node, np.moveaxis(p, 0, -3).reshape(lead + p.shape[:1] + p.shape[2:])
+    s_heads = np.moveaxis(p, 0, -3).reshape(lead + p.shape[:1] + p.shape[2:])
+    return out.reshape(z.shape), s_avg.reshape(lead + (t_len, t_len)), s_heads, backward

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor
 from .data import DataError, write_table
 
 __all__ = [
@@ -144,19 +143,20 @@ def init_kernels(
     return EmbeddingKernels(n_series=n_series, pairs=pair_arr, weights=weights)
 
 
-def pair_conv(x: np.ndarray, weights: Tensor, pairs: np.ndarray) -> Tensor:
+def pair_conv(x: np.ndarray, weights: np.ndarray, pairs: np.ndarray):
     """Zero-padded sparse pairwise convolution along time.
 
-    ``x`` has shape (..., T, d) and is treated as constant; ``weights`` is a
-    (d_model, 2, m) Tensor.  Output channel k at time t is
+    ``x`` has shape (..., T, d) and is treated as constant; ``weights`` has
+    shape (d_model, 2, m).  Returns (out, backward): output channel k at time t is
     sum over the channel's two series s and lags of
     weights[k, s, lag] * x[t + lag - (m-1)/2, pairs[k, s]].
 
     The channels' distinct series are gathered and padded once; one GEMM
     with a (series, m * d_model) mixing matrix gives every lag's term, and
     lag ``j``'s column block enters the output shifted by ``j`` rows.
+    ``backward(d_out)`` returns the gradient of ``weights``.
     """
-    d_model, _, m = weights.data.shape
+    d_model, _, m = weights.shape
     half = (m - 1) // 2
     t_len = x.shape[-2]
     series, slot = np.unique(pairs, return_inverse=True)
@@ -167,7 +167,7 @@ def pair_conv(x: np.ndarray, weights: Tensor, pairs: np.ndarray) -> Tensor:
     channels = np.arange(d_model)
     mix = np.zeros((n_used, m, d_model))
     for side in (0, 1):
-        mix[slot[:, side], :, channels] = weights.data[:, side, :]
+        mix[slot[:, side], :, channels] = weights[:, side, :]
     full = (xp @ mix.reshape(n_used, -1)).reshape(-1, t_len + 2 * half, m, d_model)
     out = full[:, 0:t_len, 0].copy()
     for lag in range(1, m):
@@ -178,8 +178,7 @@ def pair_conv(x: np.ndarray, weights: Tensor, pairs: np.ndarray) -> Tensor:
         for lag in range(m):
             d_full[:, lag : lag + t_len, lag] = grad.reshape(-1, t_len, d_model)
         d_mix = (xp.T @ d_full.reshape(xp.shape[0], -1)).reshape(mix.shape)
-        weights._accumulate(np.stack([d_mix[slot[:, side], :, channels] for side in (0, 1)], 1))
+        return np.stack([d_mix[slot[:, side], :, channels] for side in (0, 1)], 1)
 
-    out = out.reshape(x.shape[:-1] + (d_model,))
-    return Tensor(out, weights.requires_grad, (weights,), backward)
+    return out.reshape(x.shape[:-1] + (d_model,)), backward
 

@@ -93,11 +93,14 @@ _SCHEMAS = {
 }
 
 
-# key -> (requirement, test): range checks that name the key, in every section that has it.
+# key -> (requirement, test): range checks that name the key, in every section
+# that has it; a (section, key) entry applies to that section alone.
 _LIMITS = {
     "seed": (">= 0", lambda v: v >= 0),
-    **dict.fromkeys(("n", "downsample", "configs"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("n", "downsample", "configs", "top_k", "horizon", ("eval", "t_window")),
+                    (">= 1", lambda v: v >= 1)),
     **dict.fromkeys(("delta", "mu1", "mu2", "inject_magnitude"), ("finite", math.isfinite)),
+    "h2": ("a number, not nan", lambda v: not math.isnan(v)),  # inf silences every alarm
     **dict.fromkeys(("sigma1", "sigma2"), ("finite and >= 0", lambda v: 0 <= v < math.inf)),
     "tolerance": ("finite and > 0", lambda v: 0 < v < math.inf),
 }
@@ -130,8 +133,9 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
             raise ConfigError(f"[{command}] is missing required key {key!r}")
         else:
             resolved[key] = default
-        if key in _LIMITS and resolved[key] is not None and not _LIMITS[key][1](resolved[key]):
-            raise ConfigError(f"{key} must be {_LIMITS[key][0]}")
+        limit = _LIMITS.get((command, key), _LIMITS.get(key))
+        if limit is not None and resolved[key] is not None and not limit[1](resolved[key]):
+            raise ConfigError(f"{key} must be {limit[0]}")
     return resolved
 
 
@@ -202,10 +206,10 @@ def _load_model(resolved: dict):
 
 
 def cmd_score(resolved: dict) -> int:
-    out = _prepare_out(resolved, "score")
     params, cfg, _, h1, frame = _load_model(resolved)
     if h1 is None:
         raise ConfigError("checkpoint has no calibrated h1; re-run training")
+    out = _prepare_out(resolved, "score")
     series = model_mod.score_frame(frame, params, cfg, h1)
     h2 = resolved["h2"]
     header = ["timestamp", "anomaly_score", "alora_t_score", "residual_sq"]
@@ -226,8 +230,8 @@ def cmd_score(resolved: dict) -> int:
 
 
 def cmd_localize(resolved: dict) -> int:
-    out = _prepare_out(resolved, "localize")
     params, cfg, _, _, frame = _load_model(resolved)
+    out = _prepare_out(resolved, "localize")
     series = model_mod.score_frame(frame, params, cfg, None)
     weights = loc_mod.contribution_weights(params, cfg.skip, cfg.activation)
     las_matrix = loc_mod.las(
@@ -397,6 +401,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
+    resolved = {}
     try:
         resolved = _load_section(
             args.config, args.command, {"seed": getattr(args, "seed", None), "out": args.out}
@@ -407,6 +412,12 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a write into out, where every output file lies
+        out = resolved.get("out")
+        if out is None or exc.filename is None or Path(exc.filename).parent != Path(out):
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4

@@ -199,50 +199,77 @@ class TrainResult:
 PARAM_GROUPS = ("kernels", *_LAYER_ARRAYS, "w_out")
 
 
-def _forward_t(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: TrainConfig):
-    """Forward a (B, T, d) stack through the embedding and every layer;
-    ``leaves`` are the parameter Tensors in :meth:`ModelParams.arrays`
-    order, and ``w_out`` is left to the caller.
+def _recon_error(z: np.ndarray, w_out: np.ndarray, x: np.ndarray):
+    """``sum((z @ w_out - x)**2)`` of a (..., T, d_model) latent stack, and
+    ``backward(scale)``: the gradients of ``scale`` times it into (z, w_out)."""
+    diff = z @ w_out - x
 
-    Returns (final latent Tensor (B, T, d_model), list of head-averaged
-    attention Tensors (B, T, T))."""
-    mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
-    z = embedding.pair_conv(x, leaves[0], pairs)
-    s_avgs = []
-    per = len(_LAYER_ARRAYS)
-    for i in range(1, len(leaves) - 1, per):
-        z, s_avg, _ = attention.forward_t(z, *leaves[i : i + per], cfg.skip, cfg.activation, mask)
-        s_avgs.append(s_avg)
-    return z, s_avgs
+    def backward(scale):
+        g = 2.0 * scale * diff
+        # Batched product, then the sum over the batch: one flattened
+        # (B*T)-row product would add the same terms in another order.
+        g_w = np.swapaxes(z, -1, -2) @ g
+        return g @ w_out.T, g_w.sum(axis=tuple(range(g_w.ndim - 2)))
+
+    return np.sum(diff**2), backward
 
 
 def _objective(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: TrainConfig):
-    """The training objective of a (B, T, d) batch on the tape: over B, the
-    squared reconstruction error plus lambda times every layer's Geman
-    penalty.  Returns (objective, error node, penalty nodes); the node-free
-    form of the same sum is :func:`total_loss`."""
-    z, s_avgs = _forward_t(x, leaves, pairs, cfg)
-    error = ag.squared_error(z, leaves[-1], x)
-    pens = [ag.geman_penalty(s_avg, cfg.r) for s_avg in s_avgs]
+    """The training objective of a (B, T, d) batch: over B, the squared
+    reconstruction error plus lambda times every layer's Geman penalty.
+    ``leaves`` are the parameter Tensors in :meth:`ModelParams.arrays` order.
+
+    Returns (objective, error, penalties).  The objective's ``backward()``
+    runs the reverse pass: the output projection, each layer from the last
+    to the first with its share of the penalties' gradient, then the
+    embedding; it sets every leaf's ``grad``.  The backward-free form of the
+    same sum is :func:`total_loss`."""
+    mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
+    z, embed_back = embedding.pair_conv(x, leaves[0].data, pairs)
+    layers = []  # (backward, penalty, penalty gradient) per layer
+    per = len(_LAYER_ARRAYS)
+    for i in range(1, len(leaves) - 1, per):
+        weights = (leaf.data for leaf in leaves[i : i + per])
+        z, s_avg, _, back = attention.forward_t(z, *weights, cfg.skip, cfg.activation, mask)
+        layers.append((back, *linalg.geman_batch(s_avg, cfg.r)))
+    error, error_back = _recon_error(z, leaves[-1].data, x)
+    pens = [pen for _, pen, _ in layers]
     scale = 1.0 / x.shape[0]
-    weights = [scale] + [scale * cfg.lambda_reg] * len(pens)
-    return ag.weighted_sum([error, *pens], weights), error, pens
+    weight = scale * cfg.lambda_reg
+    value = sum([scale * error] + [weight * pen for pen in pens])
+
+    def backward():
+        d_z, d_out = error_back(scale)
+        grads = [d_out]
+        for back, _, d_pen in reversed(layers):
+            d_z, *d_w = back(d_z, weight * d_pen)
+            grads[:0] = d_w
+        grads.insert(0, embed_back(d_z))
+        for leaf, grad in zip(leaves, grads):
+            leaf.grad = np.ascontiguousarray(grad)
+
+    return Tensor(value, backward), error, pens
 
 
 def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
     """Inference over a (B, T, d) stack: reconstructions and the
     head-averaged attention matrices (B, T, T) of every layer.  Callers that
     read the final layer's singular values take them with
-    :func:`alorat.linalg.spectrum`."""
+    :func:`alorat.linalg.spectrum`.  No backward outlives its kernel call."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != cfg.t_window or x.shape[2] != params.d_in:
         raise ValueError(
             f"window stack shape {x.shape} incompatible with "
             f"(T={cfg.t_window}, d={params.d_in})"
         )
-    leaves = [Tensor(a) for _, a in params.arrays()]
-    z, s_avgs = _forward_t(x, leaves, params.kernels.pairs, cfg)
-    return z.data @ params.w_out, [s.data for s in s_avgs]
+    mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
+    z = embedding.pair_conv(x, params.kernels.weights, params.kernels.pairs)[0]
+    s_layers = []
+    for p in params.layers:
+        z, s_avg = attention.forward_t(
+            z, p.w_q, p.w_k, p.w_v, p.w_proj, cfg.skip, cfg.activation, mask)[:2]
+        s_layers.append(s_avg)
+    return z @ params.w_out, s_layers
 
 
 def total_loss(batch: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
@@ -351,8 +378,9 @@ def train(
         selection = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
         if not np.array_equal(selection.channels(params.d_model), params.kernels.pairs):
             selection = None
-    leaves = [Tensor(a, name in groups) for name, a in params.arrays()]
-    optimizer = ag.Adam([t for t in leaves if t.requires_grad], lr=cfg.learning_rate)
+    leaves = [Tensor(a) for _, a in params.arrays()]
+    optimizer = ag.Adam([t for t, (name, _) in zip(leaves, params.arrays()) if name in groups],
+                        lr=cfg.learning_rate)
 
     best_val = np.inf
     best_params = params.copy()
@@ -372,15 +400,14 @@ def train(
                 raise NumericError(f"numerical failure at epoch {epoch}: {exc}") from None
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            recon_sum += float(error.data)
-            reg_sum += cfg.lambda_reg * sum(float(pen.data) for pen in pens)
-        # The last step's autodiff graph would stay alive under validation
-        # and calibration.  Dropping it once per epoch, not per step, keeps
-        # the allocator from trimming and re-faulting its heap every batch.
-        del loss, error, pens
+            recon_sum += float(error)
+            reg_sum += cfg.lambda_reg * sum(pens)
+        # The last step's backward would stay alive under validation and
+        # calibration.  Dropping it once per epoch, not per step, keeps the
+        # allocator from trimming and re-faulting its heap every batch.
+        del loss
 
         current = ModelParams.from_arrays(
             params.d_in, params.kernels.pairs.copy(), [t.data.copy() for t in leaves]

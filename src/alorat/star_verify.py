@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, linalg
-from .autograd import Tensor
 
 __all__ = [
     "VerificationReport",
@@ -104,13 +103,13 @@ def harvest_layers(layer_params, x_embedded, skip: bool, mask=None, activation: 
     Returns (layers, z_final) where `layers` feeds the unroll functions and
     `z_final` is the forward-pass reference output.
     """
-    z = Tensor(np.asarray(x_embedded, dtype=np.float64))
+    z = np.asarray(x_embedded, dtype=np.float64)
     layers = []
     for p in layer_params:
-        weights = (Tensor(p.w_q), Tensor(p.w_k), Tensor(p.w_v), Tensor(p.w_proj))
-        z, _, s_heads = attention.forward_t(z, *weights, skip, activation, mask)
+        z, _, s_heads, _ = attention.forward_t(
+            z, p.w_q, p.w_k, p.w_v, p.w_proj, skip, activation, mask)
         layers.append(list(zip(s_heads, attention.per_head_value_maps(p))))
-    return layers, z.data
+    return layers, z
 
 
 def _error_report(mode, reference, candidate, term_count, tolerance, assertable=True):

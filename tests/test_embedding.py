@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from alorat import data, embedding
-from alorat.autograd import Tensor
 from alorat.embedding import EmbeddingKernels, PairSelection
 
 
@@ -162,7 +161,7 @@ def dense_conv_oracle(window, kernels):
 
 def conv(window, kernels):
     """One T x d window through :func:`embedding.pair_conv`."""
-    return embedding.pair_conv(window, Tensor(kernels.weights), kernels.pairs).data
+    return embedding.pair_conv(window, kernels.weights, kernels.pairs)[0]
 
 
 class TestEmbed:

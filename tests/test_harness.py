@@ -130,7 +130,8 @@ class TestScoreCommand:
         assert np.isfinite(values).all()
         assert (tmp_path / "scored" / "scores.meta.txt").exists()
 
-    def test_checkpoint_without_h1(self, workspace):
+    def test_checkpoint_without_h1(self, workspace, capsys):
+        """A config error found in the checkpoint leaves no output directory."""
         tmp_path, cfg = workspace
         assert main(["train", "--config", str(cfg)]) == 0
         from alorat import model as model_mod
@@ -149,9 +150,16 @@ class TestScoreCommand:
                 }
             },
         )
+        capsys.readouterr()
         assert main(["score", "--config", str(cfg2)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: checkpoint has no calibrated h1; re-run training\n"
+        assert not (tmp_path / "scored2").exists()
 
-    def test_shape_mismatch_checkpoint(self, workspace, tmp_path):
+    @staticmethod
+    def _mismatch(command, workspace, capsys):
+        """``command`` on a 3-series CSV with the 2-series checkpoint exits 2
+        with one line and leaves no output directory."""
         ws_path, cfg = workspace
         assert main(["train", "--config", str(cfg)]) == 0
         other = ws_path / "three.csv"
@@ -163,14 +171,23 @@ class TestScoreCommand:
         write_config(
             cfg2,
             {
-                "score": {
+                command: {
                     "checkpoint": ws_path / "run" / "model.alora",
                     "data": other,
                     "out": ws_path / "scored3",
                 }
             },
         )
-        assert main(["score", "--config", str(cfg2)]) == 2
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg2)]) == 2
+        assert capsys.readouterr().err == "config error: data has 3 series, checkpoint expects 2\n"
+        assert not (ws_path / "scored3").exists()
+
+    def test_shape_mismatch_checkpoint(self, workspace, capsys):
+        self._mismatch("score", workspace, capsys)
+
+    def test_localize_shape_mismatch_checkpoint(self, workspace, capsys):
+        self._mismatch("localize", workspace, capsys)
 
 
     def test_linalg_failure_exits_4(self, workspace, capsys, monkeypatch):
@@ -647,10 +664,13 @@ class TestConfigParsing:
 
 # id: (command, config text, exit code, start of the one stderr line).
 # {data} is a valid CSV, {rows30} a 30-row one, {latin1} one whose header has
-# a Latin-1 byte, {file} an existing file.
+# a Latin-1 byte, {file} an existing file; {ini_dir} and {model_dir} are
+# output directories whose resolved_config.ini or model.alora is a directory.
 _TRAIN = "[train]\ndata = {data}\nout = {out}\n"
 _SIM = "[simulate]\nout = {out}\n"
 _STAR = "[star-check]\nout = {out}\nconfigs = 1\n"
+_EVAL = "[eval]\nscores = {file}\ndata = {data}\nout = {out}\n"
+_TINY = "t_window = 4\nd_model = 4\nheads = 2\nlayers = 1\n"
 BOUNDARY_CASES = {
     "out_is_a_file": ("train", "[train]\ndata = {data}\nout = {file}\n", 2, "config error: out "),
     "out_below_a_file": ("train", "[train]\ndata = {data}\nout = {file}/sub\n", 2,
@@ -674,9 +694,8 @@ BOUNDARY_CASES = {
     "learning_rate_negative": ("train", _TRAIN + "learning_rate = -1e-3\n", 2,
                                "config error: learning_rate"),
     # finite and positive: training diverges at epoch 0
-    "learning_rate_huge": ("train", "[train]\ndata = {rows30}\nout = {out}\nt_window = 4\n"
-                           "d_model = 4\nheads = 2\nlayers = 1\nmax_epochs = 2\n"
-                           "learning_rate = 1e300\n", 4, "numeric failure: "),
+    "learning_rate_huge": ("train", "[train]\ndata = {rows30}\nout = {out}\n" + _TINY
+                           + "max_epochs = 2\nlearning_rate = 1e300\n", 4, "numeric failure: "),
     "lambda_reg_nan": ("train", _TRAIN + "lambda_reg = nan\n", 2, "config error: lambda_reg"),
     "lambda_reg_inf": ("train", _TRAIN + "lambda_reg = inf\n", 2, "config error: lambda_reg"),
     "lambda_reg_negative": ("train", _TRAIN + "lambda_reg = -1\n", 2,
@@ -697,6 +716,19 @@ BOUNDARY_CASES = {
                                  "config error: tolerance must be"),
     "star_check_tolerance_zero": ("star-check", _STAR + "tolerance = 0\n", 2,
                                   "config error: tolerance must be"),
+    "score_h2_nan": ("score", "[score]\ncheckpoint = {file}\ndata = {data}\nout = {out}\n"
+                     "h2 = nan\n", 2, "config error: h2 must be a number, not nan\n"),
+    "localize_top_k_zero": ("localize", "[localize]\ncheckpoint = {file}\ndata = {data}\n"
+                            "out = {out}\ntop_k = 0\n", 2, "config error: top_k must be >= 1\n"),
+    "eval_t_window_zero": ("eval", _EVAL + "t_window = 0\n", 2,
+                           "config error: t_window must be >= 1\n"),
+    "eval_horizon_zero": ("eval", _EVAL + "horizon = 0\n", 2,
+                          "config error: horizon must be >= 1\n"),
+    "resolved_config_unwritable": ("train", "[train]\ndata = {data}\nout = {ini_dir}\n", 2,
+                                   "config error: cannot write {ini_dir}/resolved_config.ini: "),
+    "checkpoint_unwritable": ("train", "[train]\ndata = {rows30}\nout = {model_dir}\n" + _TINY
+                              + "max_epochs = 1\n", 2,
+                              "config error: cannot write {model_dir}/model.alora: "),
 }
 
 
@@ -709,7 +741,10 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     command, text, code, start = BOUNDARY_CASES[case]
     paths = {"data": tmp_path / "data.csv", "rows30": tmp_path / "rows30.csv",
              "latin1": tmp_path / "latin1.csv", "file": tmp_path / "file",
-             "out": tmp_path / "out"}
+             "out": tmp_path / "out", "ini_dir": tmp_path / "ini_dir",
+             "model_dir": tmp_path / "model_dir"}
+    (paths["ini_dir"] / "resolved_config.ini").mkdir(parents=True)
+    (paths["model_dir"] / "model.alora").mkdir(parents=True)
     paths["data"].write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
     rows = np.random.default_rng(0).normal(size=(30, 2)).tolist()
     paths["rows30"].write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows),

@@ -106,7 +106,7 @@ class TestForward:
         window = np.random.default_rng(6).normal(size=(8, 3))
         recon, s_layers = forward_one(window, params, cfg)
 
-        z = embedding.pair_conv(window, Tensor(params.kernels.weights), params.kernels.pairs).data
+        z = embedding.pair_conv(window, params.kernels.weights, params.kernels.pairs)[0]
         mask = linalg.causal_mask(cfg.t_window)
         for p, s_expected in zip(params.layers, s_layers):
             z, s_avg = layer_forward(
@@ -396,6 +396,26 @@ class TestChunking:
         stack = (large - cfg.t_window + 1) * cfg.t_window * d * 8
         assert growth < stack / 4
 
+    def test_inference_chunk_peak_memory(self):
+        """One full chunk of total_loss at the benchmark's score shape (T=20,
+        d_model=16, 4 heads, 2 layers, 20 series): each layer's backward is
+        dropped with its call, so the traced peak stays under four chunks of
+        attention.  Backwards kept alive to the chunk's end would hold every
+        layer's temporaries at once, 4.7 MiB here."""
+        cfg = tiny_cfg(t_window=20, d_model=16, heads=4, layers=2, k_pairs=16)
+        params = random_params(cfg, 20, seed=25)
+        values = np.random.default_rng(26).normal(size=(100, 20))
+        chunk = np.ascontiguousarray(data.windows(values, cfg.t_window)[:81])
+        assert chunk.shape[0] == model._chunk_windows(cfg)
+        model.total_loss(chunk, params, cfg)  # one-off imports and caches
+        tracemalloc.start()
+        try:
+            model.total_loss(chunk, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * model.CHUNK_BYTES
+
 
 class TestDetect:
     """The ``score`` command is the one place that turns anomaly scores into
@@ -510,19 +530,8 @@ class TestTrain:
         assert result.params.layers[0].w_q.tobytes() != init.layers[0].w_q.tobytes()
 
 
-def tape_nodes(root):
-    """Every node with a backward that ``root`` reaches through the tape."""
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return [node for node in seen.values() if node._backward is not None]
-
-
 class TestObjective:
-    """The tape form of the training objective against :func:`total_loss`."""
+    """The training objective and its reverse pass against :func:`total_loss`."""
 
     @staticmethod
     def _setup(**over):
@@ -530,18 +539,21 @@ class TestObjective:
         values = np.random.default_rng(40).normal(size=(30, 3))
         params, _ = model.init_params(values, cfg, np.random.default_rng(41))
         x = data.windows(values, cfg.t_window)[:3]
-        leaves = [Tensor(a.copy(), True) for _, a in params.arrays()]
+        leaves = [Tensor(a.copy()) for _, a in params.arrays()]
         return cfg, params, x, leaves
 
-    def test_two_layer_step_records_nine_nodes(self):
-        """pair_conv, two layer nodes with their s_avg nodes, the squared
-        error, two Geman penalties and the weighted sum."""
+    def test_backward_sets_every_grad_contiguous(self):
+        """The reverse pass gives every leaf a C-contiguous gradient of its
+        shape, the layers' strided w_q/w_k/w_v gradients included."""
         cfg, params, x, leaves = self._setup(layers=2)
         loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
-        assert len(tape_nodes(loss)) == 9
+        assert all(leaf.grad is None for leaf in leaves)
+        loss.backward()
+        for leaf in leaves:
+            assert leaf.grad.shape == leaf.data.shape and leaf.grad.flags.c_contiguous
 
     def test_gradient_matches_total_loss(self):
-        """One entry of every parameter array: the tape gradient against
+        """One entry of every parameter array: the reverse pass's gradient against
         central differences of total_loss(x) / B."""
         cfg, params, x, leaves = self._setup(activation="gelu", mask="causal")
         loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
