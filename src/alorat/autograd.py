@@ -1,10 +1,10 @@
-"""The array-with-gradient ``Tensor``, the GELU formula and slope, and ADAM.
+"""The value-with-backward ``Tensor``, the GELU formula and slope, and ADAM.
 
 Each training kernel returns a ``backward`` that maps output gradients to
 input gradients as arrays (:func:`alorat.embedding.pair_conv`,
 :func:`alorat.attention.forward_t`).  The objective of
 :func:`alorat.model._objective` is a :class:`Tensor` whose ``backward()``
-chains them in one fixed reverse order and sets every parameter's ``grad``.
+chains them in one fixed reverse order and returns the gradients.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 class Tensor:
-    """An array with its gradient; ``backward()`` runs the reverse pass given."""
+    """A value; ``backward()`` runs the reverse pass given and returns its result."""
 
-    __slots__ = ("data", "grad", "_backward")
+    __slots__ = ("data", "_backward")
 
     def __init__(self, data, backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self._backward = backward
 
     def backward(self):
-        self._backward()
+        return self._backward()
 
 
 def gelu_parts(x: np.ndarray):
@@ -41,26 +40,26 @@ def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """ADAM over a list of parameter Tensors, each with its ``grad`` set."""
+    """ADAM over a list of float64 parameter arrays, updated in place."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
+        self._m = [np.zeros_like(p) for p in params]
+        self._v = [np.zeros_like(p) for p in params]
 
-    def step(self):
+    def step(self, grads: list[np.ndarray]):
+        """One update from the gradients of ``params``, in their order."""
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -3,7 +3,9 @@ star-check driven by flat key=value config files with sections.
 
 Each run writes a resolved copy of its configuration next to the outputs so
 results can be reproduced from the output directory alone.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numeric failure.
+0 success, 1 internal error, 2 configuration error, 3 data error, 4 numeric
+failure.  Each failure prints one stderr line, and each library warning
+one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import configparser
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +168,10 @@ def _require_file(path: str) -> str:
 
 
 def cmd_train(resolved: dict) -> int:
-    cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
+    try:
+        cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = _prepare_out(resolved, "train")
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     frame = data_mod.downsample_mean(frame, resolved["downsample"])
@@ -176,12 +182,7 @@ def cmd_train(resolved: dict) -> int:
     result = model_mod.train(frame, cfg)
 
     model_mod.save_checkpoint(
-        out / "model.alora",
-        result.params,
-        cfg,
-        result.selection,
-        h1=result.thresholds.h1,
-        norm_stats=stats,
+        out / "model.alora", result.params, cfg, h1=result.thresholds.h1, norm_stats=stats
     )
     result.selection.save(out / "pairs.txt")
     fields = [f.name for f in dataclasses.fields(model_mod.EpochStats)]
@@ -194,19 +195,17 @@ def cmd_train(resolved: dict) -> int:
 
 
 def _load_model(resolved: dict):
-    params, cfg, selection, h1, stats = model_mod.load_checkpoint(
-        _require_file(resolved["checkpoint"])
-    )
+    params, cfg, h1, stats = model_mod.load_checkpoint(_require_file(resolved["checkpoint"]))
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     if frame.d != params.d_in:
         raise ConfigError(f"data has {frame.d} series, checkpoint expects {params.d_in}")
     if stats is not None:
         frame, _ = data_mod.normalize(frame, stats)
-    return params, cfg, selection, h1, frame
+    return params, cfg, h1, frame
 
 
 def cmd_score(resolved: dict) -> int:
-    params, cfg, _, h1, frame = _load_model(resolved)
+    params, cfg, h1, frame = _load_model(resolved)
     if h1 is None:
         raise ConfigError("checkpoint has no calibrated h1; re-run training")
     out = _prepare_out(resolved, "score")
@@ -230,7 +229,7 @@ def cmd_score(resolved: dict) -> int:
 
 
 def cmd_localize(resolved: dict) -> int:
-    params, cfg, _, _, frame = _load_model(resolved)
+    params, cfg, _, frame = _load_model(resolved)
     out = _prepare_out(resolved, "localize")
     series = model_mod.score_frame(frame, params, cfg, None)
     weights = loc_mod.contribution_weights(params, cfg.skip, cfg.activation)
@@ -256,6 +255,8 @@ def cmd_eval(resolved: dict) -> int:
         raise ConfigError(f"[eval] localization needs both las and loc_truth; "
                           f"{missing!r} is missing")
     p_percents = [p.strip() for p in resolved["p_percents"].split(",") if p.strip()]
+    if not p_percents:
+        raise ConfigError("p_percents has no entries")
     for p in p_percents:
         if not p.isdecimal() or int(p) < 1:
             raise ConfigError(f"p_percents entry {p!r} is not an integer >= 1")
@@ -403,27 +404,32 @@ def main(argv=None) -> int:
 
     resolved = {}
     try:
-        resolved = _load_section(
-            args.config, args.command, {"seed": getattr(args, "seed", None), "out": args.out}
-        )
-        # A diverging run ends in a NumericError or LinAlgError, not warnings.
-        with np.errstate(all="ignore"):
+        # A diverging run ends in a NumericError or LinAlgError, not numpy
+        # warnings; a library warning prints as one line.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            resolved = _load_section(
+                args.config, args.command, {"seed": getattr(args, "seed", None), "out": args.out}
+            )
             return _COMMANDS[args.command][0](resolved)
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # a write into out, where every output file lies
-        out = resolved.get("out")
-        if out is None or exc.filename is None or Path(exc.filename).parent != Path(out):
-            raise
-        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        out = resolved.get("out")
+        if (isinstance(exc, OSError) and out is not None and exc.filename is not None
+                and Path(exc.filename).parent == Path(out)):  # every output file lies in out
+            print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
+        message = " ".join(str(exc).split())  # one line, whatever the message holds
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

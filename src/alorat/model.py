@@ -37,7 +37,7 @@ __all__ = [
     "parse_value",
 ]
 
-CHECKPOINT_MAGIC = "ALORA2"
+CHECKPOINT_MAGIC = "ALORA3"
 
 
 class NumericError(RuntimeError):
@@ -139,7 +139,7 @@ class ModelParams:
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """Every parameter array with its group name, in the one order that
-        copies, training tensors and checkpoints share: embedding kernels,
+        copies, training gradients and checkpoints share: embedding kernels,
         then w_q, w_k, w_v, w_proj of each layer, then w_out."""
         out = [("kernels", self.kernels.weights)]
         for p in self.layers:
@@ -186,11 +186,12 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    """``selection`` is None after a warm start whose channels it does not give."""
+    """``selection`` is the pair ranking of the training data, also after a
+    warm start whose channels keep other pairs."""
     params: ModelParams
     thresholds: Thresholds
+    selection: embedding.PairSelection
     history: list[EpochStats] = field(default_factory=list)
-    selection: embedding.PairSelection | None = None
 
 
 # -- forward ---------------------------------------------------------------------
@@ -214,25 +215,24 @@ def _recon_error(z: np.ndarray, w_out: np.ndarray, x: np.ndarray):
     return np.sum(diff**2), backward
 
 
-def _objective(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: TrainConfig):
+def _objective(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
     """The training objective of a (B, T, d) batch: over B, the squared
     reconstruction error plus lambda times every layer's Geman penalty.
-    ``leaves`` are the parameter Tensors in :meth:`ModelParams.arrays` order.
 
     Returns (objective, error, penalties).  The objective's ``backward()``
     runs the reverse pass: the output projection, each layer from the last
     to the first with its share of the penalties' gradient, then the
-    embedding; it sets every leaf's ``grad``.  The backward-free form of the
-    same sum is :func:`total_loss`."""
+    embedding; it returns the C-contiguous gradients of
+    :meth:`ModelParams.arrays`, in that order.  The backward-free form of
+    the same sum is :func:`total_loss`."""
     mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
-    z, embed_back = embedding.pair_conv(x, leaves[0].data, pairs)
+    z, embed_back = embedding.pair_conv(x, params.kernels.weights, params.kernels.pairs)
     layers = []  # (backward, penalty, penalty gradient) per layer
-    per = len(_LAYER_ARRAYS)
-    for i in range(1, len(leaves) - 1, per):
-        weights = (leaf.data for leaf in leaves[i : i + per])
-        z, s_avg, _, back = attention.forward_t(z, *weights, cfg.skip, cfg.activation, mask)
+    for p in params.layers:
+        z, s_avg, _, back = attention.forward_t(
+            z, p.w_q, p.w_k, p.w_v, p.w_proj, cfg.skip, cfg.activation, mask)
         layers.append((back, *linalg.geman_batch(s_avg, cfg.r)))
-    error, error_back = _recon_error(z, leaves[-1].data, x)
+    error, error_back = _recon_error(z, params.w_out, x)
     pens = [pen for _, pen, _ in layers]
     scale = 1.0 / x.shape[0]
     weight = scale * cfg.lambda_reg
@@ -245,8 +245,7 @@ def _objective(x: np.ndarray, leaves: list[Tensor], pairs: np.ndarray, cfg: Trai
             d_z, *d_w = back(d_z, weight * d_pen)
             grads[:0] = d_w
         grads.insert(0, embed_back(d_z))
-        for leaf, grad in zip(leaves, grads):
-            leaf.grad = np.ascontiguousarray(grad)
+        return [np.ascontiguousarray(grad) for grad in grads]
 
     return Tensor(value, backward), error, pens
 
@@ -351,9 +350,9 @@ def train(
     best parameters are restored, the 4th/5th singular-value trajectories
     of the final layer over the full training sequence set h1.
 
-    ``init`` warm-starts from existing parameters; ``trainable`` restricts
-    the optimized groups (subset of :data:`PARAM_GROUPS`), leaving the rest
-    frozen.
+    ``init`` warm-starts from a copy of existing parameters, channel pairs
+    included; ``trainable`` restricts the optimized groups (subset of
+    :data:`PARAM_GROUPS`), leaving the rest frozen.
     """
     groups = set(PARAM_GROUPS if trainable is None else trainable)
     unknown = groups - set(PARAM_GROUPS)
@@ -376,14 +375,11 @@ def train(
     else:
         params = init.copy()
         selection = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
-        if not np.array_equal(selection.channels(params.d_model), params.kernels.pairs):
-            selection = None
-    leaves = [Tensor(a) for _, a in params.arrays()]
-    optimizer = ag.Adam([t for t, (name, _) in zip(leaves, params.arrays()) if name in groups],
+    trained = [name in groups for name, _ in params.arrays()]
+    optimizer = ag.Adam([a for (_, a), keep in zip(params.arrays(), trained) if keep],
                         lr=cfg.learning_rate)
 
     best_val = np.inf
-    best_params = params.copy()
     wait = 0
     history: list[EpochStats] = []
 
@@ -391,29 +387,20 @@ def train(
         order = rng.permutation(train_win.shape[0])
         recon_sum = 0.0
         reg_sum = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = train_win[idx]
-            try:
-                loss, error, pens = _objective(x, leaves, params.kernels.pairs, cfg)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"numerical failure at epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            loss.backward()
-            optimizer.step()
-            recon_sum += float(error)
-            reg_sum += cfg.lambda_reg * sum(pens)
-        # The last step's backward would stay alive under validation and
-        # calibration.  Dropping it once per epoch, not per step, keeps the
-        # allocator from trimming and re-faulting its heap every batch.
-        del loss
-
-        current = ModelParams.from_arrays(
-            params.d_in, params.kernels.pairs.copy(), [t.data.copy() for t in leaves]
-        )
         try:
-            val_total = _mean_loss(val_win, current, cfg)
+            for start in range(0, len(order), cfg.batch_size):
+                x = train_win[order[start : start + cfg.batch_size]]
+                loss, error, pens = _objective(x, params, cfg)
+                if not np.isfinite(loss.data):
+                    raise NumericError(f"non-finite training loss at epoch {epoch}")
+                optimizer.step([g for g, keep in zip(loss.backward(), trained) if keep])
+                recon_sum += float(error)
+                reg_sum += cfg.lambda_reg * sum(pens)
+            # The last step's backward would stay alive under validation and
+            # calibration.  Dropping it once per epoch, not per step, keeps the
+            # allocator from trimming and re-faulting its heap every batch.
+            del loss
+            val_total = _mean_loss(val_win, params, cfg)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"numerical failure at epoch {epoch}: {exc}") from None
         if not np.isfinite(val_total):
@@ -429,7 +416,7 @@ def train(
         )
         if val_total < best_val:
             best_val = val_total
-            best_params = current
+            best_params = params.copy()
             wait = 0
         else:
             wait += 1
@@ -505,35 +492,27 @@ def score_frame(
 # -- checkpoint io ------------------------------------------------------------------
 
 # Header keys after the TrainConfig fields, with their kinds.
-_HEADER_EXTRAS = {"d_in": "int", "n_pairs": "int", "h1": "float", "norm_stats": "bool"}
+_HEADER_EXTRAS = {"d_in": "int", "h1": "float", "norm_stats": "bool"}
 
 
 def save_checkpoint(
     path,
     params: ModelParams,
     cfg: TrainConfig,
-    selection: embedding.PairSelection,
     h1: float | None = None,
     norm_stats: NormStats | None = None,
 ):
-    """Checkpoint v2: an ``ALORA2`` line, ``key=value`` lines (the
-    TrainConfig fields in order, then d_in, n_pairs, h1 and norm_stats; an
+    """Checkpoint v3: an ``ALORA3`` line, ``key=value`` lines (the
+    TrainConfig fields in order, then d_in, h1 and norm_stats; an
     uncalibrated h1 is written as nan), a ``crc32=`` line, a blank line,
-    then raw little-endian blocks: the ranked pairs as int64, their scores,
+    then raw little-endian blocks: the (d_model, 2) channel pairs as int64,
     the :meth:`ModelParams.arrays` in order, and the optional normalization
     mean and std.  The CRC-32 (zlib, 8 hex digits) covers the header lines
     before it and the blocks.  The header text is also written to
-    ``<path>.manifest.txt``.
-
-    :func:`load_checkpoint` rebuilds the channel pairs from ``selection``,
-    so params whose channels are not :meth:`PairSelection.channels` of it
-    (a warm start keeps its own) raise ``ValueError``."""
-    if not np.array_equal(params.kernels.pairs, selection.channels(params.d_model)):
-        raise ValueError("channel pairs are not the selection's pairs cycled over the channels")
+    ``<path>.manifest.txt``."""
     header = {
         **asdict(cfg),
         "d_in": params.d_in,
-        "n_pairs": len(selection.pairs),
         "h1": float("nan") if h1 is None else float(h1),
         "norm_stats": norm_stats is not None,
     }
@@ -542,8 +521,7 @@ def save_checkpoint(
     if norm_stats is not None:
         blocks += [norm_stats.mean, norm_stats.std]
     body = b"".join(
-        [np.asarray(selection.pairs, dtype="<i8").tobytes(),
-         np.asarray(selection.scores, dtype="<f8").tobytes()]
+        [np.asarray(params.kernels.pairs, dtype="<i8").tobytes()]
         + [np.asarray(block, dtype="<f8").tobytes() for block in blocks]
     )
     text += f"crc32={zlib.crc32(body, zlib.crc32(text.encode('ascii'))):08x}\n"
@@ -554,8 +532,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Returns (params, cfg, selection, h1, norm_stats).  A file that is not
-    a complete v2 checkpoint raises :class:`DataError`."""
+    """Returns (params, cfg, h1, norm_stats).  A file that is not a
+    complete v3 checkpoint raises :class:`DataError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, sep, body = raw.partition(b"\n\n")
@@ -574,13 +552,13 @@ def load_checkpoint(path):
         raise DataError(f"{path}: damaged or truncated checkpoint header")
     values = {key: parse_value(kinds[key], text, f"{path}: {key}", DataError)
               for key, _, text in items}
-    d_in, n_pairs, h1, has_stats = (values.pop(key) for key in _HEADER_EXTRAS)
+    d_in, h1, has_stats = (values.pop(key) for key in _HEADER_EXTRAS)
     try:
         cfg = TrainConfig(**values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if d_in < 2 or n_pairs < 1:
-        raise DataError(f"{path}: header has d_in={d_in}, n_pairs={n_pairs}")
+    if d_in < 2:
+        raise DataError(f"{path}: header has d_in={d_in}")
 
     # Views into the file first: a header that claims more data than the
     # file holds fails here, before any array is allocated.
@@ -595,7 +573,7 @@ def load_checkpoint(path):
     dm, dh = cfg.d_model, cfg.d_model // cfg.heads
     layer_shapes = [(cfg.heads, dm, dh)] * 3 + [(dm, dm)]
     try:
-        pairs, scores = view("<i8", (n_pairs, 2)), view("<f8", (n_pairs,))
+        pairs = view("<i8", (dm, 2))
         blocks = [view("<f8", (dm, 2, cfg.kernel_size))]
         for _ in range(cfg.layers):
             blocks += [view("<f8", shape) for shape in layer_shapes]
@@ -606,14 +584,11 @@ def load_checkpoint(path):
     if offset != len(body):
         raise DataError(f"{path}: {len(body) - offset} trailing bytes")
 
-    selection = embedding.PairSelection(
-        pairs=tuple(map(tuple, pairs.tolist())), scores=scores.astype(np.float64)
-    )
     try:
         params = ModelParams.from_arrays(
-            d_in, selection.channels(dm), [b.astype(np.float64) for b in blocks]
+            d_in, pairs.astype(np.int64), [b.astype(np.float64) for b in blocks]
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     norm_stats = NormStats(*(s.astype(np.float64) for s in stats)) if has_stats else None
-    return params, cfg, selection, None if math.isnan(h1) else h1, norm_stats
+    return params, cfg, None if math.isnan(h1) else h1, norm_stats

@@ -166,10 +166,9 @@ def test_geman_batch_gradient():
 
 def test_adam_minimizes_quadratic():
     target = np.array([1.0, -2.0, 0.5])
-    p = ag.Tensor(np.zeros((3, 1)))
+    p = np.zeros((3, 1))
     opt = ag.Adam([p], lr=0.1)
     for _ in range(300):
-        _, backward = model._recon_error(np.eye(3), p.data, target[:, None])
-        p.grad = backward(1.0)[1]
-        opt.step()
-    np.testing.assert_allclose(p.data[:, 0], target, atol=1e-3)
+        _, backward = model._recon_error(np.eye(3), p, target[:, None])
+        opt.step([backward(1.0)[1]])
+    np.testing.assert_allclose(p[:, 0], target, atol=1e-3)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alorat import data, linalg
+from alorat import data, harness, linalg
 from alorat import model as model_mod
 from alorat.data import DataError
 from alorat.harness import main
@@ -136,9 +136,9 @@ class TestScoreCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         from alorat import model as model_mod
 
-        params, tc, sel, _, stats = model_mod.load_checkpoint(tmp_path / "run" / "model.alora")
+        params, tc, _, stats = model_mod.load_checkpoint(tmp_path / "run" / "model.alora")
         bare = tmp_path / "bare.alora"
-        model_mod.save_checkpoint(bare, params, tc, sel, h1=None, norm_stats=stats)
+        model_mod.save_checkpoint(bare, params, tc, h1=None, norm_stats=stats)
         cfg2 = tmp_path / "noh1.ini"
         write_config(
             cfg2,
@@ -662,6 +662,42 @@ class TestConfigParsing:
         assert main(["train", "--config", str(cfg)]) == 2
 
 
+class TestMainBoundary:
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        """A ValueError no command turns into a config or data error is a
+        defect: one "internal error" line and exit 1, not exit 2."""
+        def broken(resolved):
+            raise ValueError("too many values to unpack (expected 4)")
+
+        monkeypatch.setitem(harness._COMMANDS, "star-check", (broken, "broken"))
+        assert main(["star-check", "--out", str(tmp_path / "sc")]) == 1
+        assert capsys.readouterr().err == (
+            "internal error: ValueError: too many values to unpack (expected 4)\n")
+
+    def test_library_warning_is_one_line(self, workspace, capsys):
+        """top_k above the series count warns from alorat.localize; the CLI
+        prints it as one warning line and succeeds."""
+        tmp_path, cfg = workspace
+        assert main(["train", "--config", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace("[localize]\n", "[localize]\ntop_k = 5\n"))
+        capsys.readouterr()
+        assert main(["localize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == "warning: top_k=5 exceeds d=2; clamping\n"
+
+    def test_constant_series_warning_is_one_line(self, tmp_path, capsys):
+        values = np.random.default_rng(0).normal(size=(40, 3))
+        values[:, 2] = 1.5
+        data.save_csv(data.TimeSeriesFrame(values=values, names=("a", "b", "c")),
+                      tmp_path / "const.csv")
+        cfg = tmp_path / "const.ini"
+        write_config(cfg, {"train": {"data": tmp_path / "const.csv", "out": tmp_path / "o",
+                                     "t_window": 4, "d_model": 4, "heads": 2, "layers": 1,
+                                     "max_epochs": 1}})
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: constant series: its pair correlations set to 0\n")
+
+
 # id: (command, config text, exit code, start of the one stderr line).
 # {data} is a valid CSV, {rows30} a 30-row one, {latin1} one whose header has
 # a Latin-1 byte, {file} an existing file; {ini_dir} and {model_dir} are
@@ -724,6 +760,8 @@ BOUNDARY_CASES = {
                            "config error: t_window must be >= 1\n"),
     "eval_horizon_zero": ("eval", _EVAL + "horizon = 0\n", 2,
                           "config error: horizon must be >= 1\n"),
+    "eval_p_percents_empty": ("eval", _EVAL + "las = {file}\nloc_truth = {file}\n"
+                              "p_percents = ,\n", 2, "config error: p_percents has no entries\n"),
     "resolved_config_unwritable": ("train", "[train]\ndata = {data}\nout = {ini_dir}\n", 2,
                                    "config error: cannot write {ini_dir}/resolved_config.ini: "),
     "checkpoint_unwritable": ("train", "[train]\ndata = {rows30}\nout = {model_dir}\n" + _TINY

@@ -1,4 +1,5 @@
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,6 @@ from test_attention import layer_forward
 
 from alorat import data, embedding, harness, linalg, model
 from alorat.attention import AttentionLayerParams
-from alorat.autograd import Tensor
 from alorat.data import DataError, TimeSeriesFrame
 from alorat.embedding import EmbeddingKernels
 from alorat.model import ModelParams, TrainConfig
@@ -424,8 +424,8 @@ class TestDetect:
     def _labels(self, tmp_path, h2):
         cfg = tiny_cfg()
         values = np.random.default_rng(19).normal(size=(30, 3))
-        params, selection = model.init_params(values, cfg, np.random.default_rng(18))
-        model.save_checkpoint(tmp_path / "model.alora", params, cfg, selection, h1=0.01)
+        params, _ = model.init_params(values, cfg, np.random.default_rng(18))
+        model.save_checkpoint(tmp_path / "model.alora", params, cfg, h1=0.01)
         data.save_csv(TimeSeriesFrame(values=values, names=("a", "b", "c")),
                       tmp_path / "data.csv")
         (tmp_path / "score.ini").write_text(
@@ -495,7 +495,7 @@ class TestTrain:
         result = model.train(frame, cfg)
         assert result.thresholds.h1 is not None and result.thresholds.h1 >= 0
         assert result.history[-1].val_total <= result.history[0].val_total
-        assert result.selection is not None
+        assert result.selection.pairs == embedding.select_pairs(frame.values, cfg.k_pairs).pairs
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts(self):
@@ -519,6 +519,18 @@ class TestTrain:
         sb = model.score_frame(frame, b.params, cfg, b.thresholds.h1)
         assert sa.anomaly_score.tobytes() == sb.anomaly_score.tobytes()
 
+    def test_returns_best_epoch_params(self):
+        """Training updates its parameters in place; the result is a copy of
+        the best validation epoch's, not the last epoch's."""
+        values = np.random.default_rng(0).normal(size=(80, 3))
+        frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
+        cfg = tiny_cfg(max_epochs=3, patience=3, learning_rate=0.3)
+        result = model.train(frame, cfg)
+        val = [e.val_total for e in result.history]
+        assert len(val) == 3 and np.argmin(val) < 2
+        win = data.windows(values, cfg.t_window)
+        assert model._mean_loss(win[-max(1, win.shape[0] // 10):], result.params, cfg) == min(val)
+
     def test_partial_freeze(self):
         rng = np.random.default_rng(23)
         frame = TimeSeriesFrame(values=rng.normal(size=(60, 2)), names=("a", "b"))
@@ -539,30 +551,30 @@ class TestObjective:
         values = np.random.default_rng(40).normal(size=(30, 3))
         params, _ = model.init_params(values, cfg, np.random.default_rng(41))
         x = data.windows(values, cfg.t_window)[:3]
-        leaves = [Tensor(a.copy()) for _, a in params.arrays()]
-        return cfg, params, x, leaves
+        return cfg, params, x
 
-    def test_backward_sets_every_grad_contiguous(self):
-        """The reverse pass gives every leaf a C-contiguous gradient of its
-        shape, the layers' strided w_q/w_k/w_v gradients included."""
-        cfg, params, x, leaves = self._setup(layers=2)
-        loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
-        assert all(leaf.grad is None for leaf in leaves)
-        loss.backward()
-        for leaf in leaves:
-            assert leaf.grad.shape == leaf.data.shape and leaf.grad.flags.c_contiguous
+    def test_backward_returns_every_grad_contiguous(self):
+        """The reverse pass returns one C-contiguous gradient per parameter
+        array, in :meth:`ModelParams.arrays` order, the layers' strided
+        w_q/w_k/w_v gradients included."""
+        cfg, params, x = self._setup(layers=2)
+        loss, _, _ = model._objective(x, params, cfg)
+        grads = loss.backward()
+        assert len(grads) == len(params.arrays())
+        for (_, a), grad in zip(params.arrays(), grads):
+            assert grad.shape == a.shape and grad.flags.c_contiguous
 
     def test_gradient_matches_total_loss(self):
         """One entry of every parameter array: the reverse pass's gradient against
         central differences of total_loss(x) / B."""
-        cfg, params, x, leaves = self._setup(activation="gelu", mask="causal")
-        loss, _, _ = model._objective(x, leaves, params.kernels.pairs, cfg)
+        cfg, params, x = self._setup(activation="gelu", mask="causal")
+        loss, _, _ = model._objective(x, params, cfg)
         assert float(loss.data) == pytest.approx(model.total_loss(x, params, cfg) / 3)
-        loss.backward()
+        grads = loss.backward()
         rng = np.random.default_rng(42)
         h = 1e-6
-        for pos, leaf in enumerate(leaves):
-            fi = rng.integers(leaf.data.size)
+        for pos, grad in enumerate(grads):
+            fi = rng.integers(grad.size)
 
             def objective(step):
                 arrays = [a.copy() for _, a in params.arrays()]
@@ -571,15 +583,14 @@ class TestObjective:
                 return model.total_loss(x, moved, cfg) / x.shape[0]
 
             fd = (objective(h) - objective(-h)) / (2 * h)
-            assert leaf.grad.flat[fi] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            assert grad.flat[fi] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestCheckpoint:
-    def test_warm_start_with_other_channel_pairs_refused(self, tmp_path):
-        """Training keeps ``init``'s channels, so it returns no selection when
-        the pairs ranked from the data would give others; a checkpoint of
-        those parameters with the ranked selection is refused, since
-        load_checkpoint would rebuild the channels from it."""
+    def test_warm_start_with_other_channel_pairs_roundtrips(self, tmp_path):
+        """A warm start keeps ``init``'s channels, here all (2, 3), while its
+        selection is the data's ranking; the checkpoint stores the channels
+        themselves, so the loaded model scores byte-identically."""
         rng = np.random.default_rng(43)
         values = rng.normal(size=(60, 4))
         values[:, 1] = values[:, 0] + 0.1 * rng.normal(size=60)
@@ -588,32 +599,35 @@ class TestCheckpoint:
         init, _ = model.init_params(values, cfg, np.random.default_rng(44))
         init.kernels.pairs[:] = (2, 3)
         result = model.train(frame, cfg, init=init)
-        assert result.selection is None
-        ranked = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
-        assert ranked.pairs[0] == (0, 1)
-        with pytest.raises(ValueError, match="channel pairs"):
-            model.save_checkpoint(tmp_path / "m.alora", result.params, cfg, ranked)
-        assert not (tmp_path / "m.alora").exists()
+        assert result.selection.pairs[0] == (0, 1)
+        assert (result.params.kernels.pairs == (2, 3)).all()
+        path = tmp_path / "m.alora"
+        model.save_checkpoint(path, result.params, cfg, result.thresholds.h1)
+        loaded, _, h1, _ = model.load_checkpoint(path)
+        assert loaded.kernels.pairs.tobytes() == result.params.kernels.pairs.tobytes()
+        want = model.score_frame(frame, result.params, cfg, result.thresholds.h1)
+        got = model.score_frame(frame, loaded, cfg, h1)
+        for name in ("anomaly_score", "alora_score", "residual_sq", "residual_sq_per_series"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_warm_start_pairs_roundtrip(self, pinned_sim_run, tmp_path):
         cfg, result, _, _ = pinned_sim_run
         path = tmp_path / "m.alora"
-        model.save_checkpoint(path, result.params, cfg, result.selection, result.thresholds.h1)
-        loaded, _, _, _, _ = model.load_checkpoint(path)
+        model.save_checkpoint(path, result.params, cfg, result.thresholds.h1)
+        loaded, _, _, _ = model.load_checkpoint(path)
         assert loaded.kernels.pairs.tobytes() == result.params.kernels.pairs.tobytes()
 
     def test_roundtrip(self, tmp_path):
         cfg = tiny_cfg(mask="causal", activation="gelu", pair_method="pearson")
         values = np.random.default_rng(24).normal(size=(50, 3))
-        params, selection = model.init_params(values, cfg, np.random.default_rng(25))
+        params, _ = model.init_params(values, cfg, np.random.default_rng(25))
         stats = data.NormStats(mean=values.mean(axis=0), std=values.std(axis=0))
         path = tmp_path / "model.alora"
-        model.save_checkpoint(path, params, cfg, selection, h1=0.0123, norm_stats=stats)
+        model.save_checkpoint(path, params, cfg, h1=0.0123, norm_stats=stats)
 
-        loaded, cfg2, sel2, h1, stats2 = model.load_checkpoint(path)
+        loaded, cfg2, h1, stats2 = model.load_checkpoint(path)
         assert cfg2 == cfg
         assert h1 == 0.0123
-        assert sel2.pairs == selection.pairs
         np.testing.assert_array_equal(loaded.kernels.weights, params.kernels.weights)
         np.testing.assert_array_equal(loaded.kernels.pairs, params.kernels.pairs)
         for a, b in zip(loaded.layers, params.layers):
@@ -624,17 +638,33 @@ class TestCheckpoint:
         np.testing.assert_array_equal(stats2.std, stats.std)
         assert (tmp_path / "model.alora.manifest.txt").exists()
         with open(path, "rb") as fh:
-            assert fh.read(6) == b"ALORA2"
+            assert fh.read(6) == b"ALORA3"
 
     def test_missing_h1_roundtrips_as_none(self, tmp_path):
         cfg = tiny_cfg()
         values = np.random.default_rng(26).normal(size=(50, 3))
-        params, selection = model.init_params(values, cfg, np.random.default_rng(27))
+        params, _ = model.init_params(values, cfg, np.random.default_rng(27))
         path = tmp_path / "m.alora"
-        model.save_checkpoint(path, params, cfg, selection, h1=None)
-        _, _, _, h1, stats = model.load_checkpoint(path)
+        model.save_checkpoint(path, params, cfg, h1=None)
+        _, _, h1, stats = model.load_checkpoint(path)
         assert h1 is None
         assert stats is None
+
+    def test_pair_outside_series_is_data_error(self, tmp_path):
+        """A pairs block naming series 3 of a 3-series model, with the CRC
+        recomputed so that only the decoding can reject it."""
+        cfg = tiny_cfg()
+        values = np.random.default_rng(28).normal(size=(50, 3))
+        params, _ = model.init_params(values, cfg, np.random.default_rng(29))
+        path = tmp_path / "m.alora"
+        model.save_checkpoint(path, params, cfg, h1=0.5)
+        head, _, body = path.read_bytes().partition(b"\n\n")
+        covered = head.rpartition(b"\n")[0] + b"\n"
+        body = np.array([[0, 3]], dtype="<i8").tobytes() + body[16:]
+        crc = b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered))
+        path.write_bytes(covered + crc + b"\n\n" + body)
+        with pytest.raises(DataError, match="series index >= d=3"):
+            model.load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.alora"

@@ -63,7 +63,7 @@ def _write_scores(tmp_path, monkeypatch, h2):
         residual_sq_per_series=np.zeros((2, 3)),
     )
     monkeypatch.setattr(harness, "_load_model",
-                        lambda resolved: (None, SimpleNamespace(t_window=2), None, 0.5, frame))
+                        lambda resolved: (None, SimpleNamespace(t_window=2), 0.5, frame))
     monkeypatch.setattr(model_mod, "score_frame", lambda *args: series)
     entries = {"checkpoint": "unused", "data": "unused", "out": tmp_path / "scored"}
     if h2 is not None:
