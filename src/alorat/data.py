@@ -3,7 +3,10 @@
 A :class:`TimeSeriesFrame` is an N x d float64 value matrix with unique
 series names and optional per-step binary labels plus localization truth.
 Every CSV the package reads or writes goes through :func:`read_table` and
-:func:`write_table`.
+:func:`write_table`.  ``np.loadtxt`` parses a table's rows; a file it
+rejects, or parses into a table that breaks a rule, is walked row by row
+with ``float``, which accepts ``1_000`` and non-ASCII digits and otherwise
+names the line of the first fault.
 Preprocessing covers train-fitted z-normalization, block-mean downsampling,
 and overlapping window extraction.  The synthetic side provides a seeded
 bivariate mean-shift generator and a small additive anomaly injector
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -132,23 +136,44 @@ class NormStats:
 def read_table(path):
     """Read a rectangular numeric CSV with a header row.
 
-    Returns (header, N x columns float64 array).  A ragged row, a cell that
-    ``float`` rejects and a non-finite cell are each a :class:`DataError`
-    naming ``path:line``; so are an empty file and a header without rows.
+    Returns (header, N x columns float64 array).  A ragged row (a blank line
+    included), a cell that ``float`` rejects and a non-finite cell are each a
+    :class:`DataError` naming ``path:line``; so are an empty file and a
+    header without rows.  A leading UTF-8 byte-order mark is skipped.
     """
     try:
-        header, blocks = _read_blocks(path)
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            lines = fh.readlines()
+        table = _parse_rows(lines)
+        if (table is None or table.shape != (len(lines), len(header))
+                or not np.isfinite(table).all()):
+            header, blocks = _read_blocks(path)
+            if not blocks:
+                raise DataError(f"{path}: no rows")
+            table = np.concatenate(blocks)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not blocks:
-        raise DataError(f"{path}: no rows")
-    return header, np.concatenate(blocks)
+    return header, table
+
+
+def _parse_rows(lines):
+    """``np.loadtxt`` of the data lines, or None where it raises or warns.
+    It skips blank lines, which :func:`read_table` catches by comparing
+    the row count with the line count."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+    except (ValueError, Warning):
+        return None
 
 
 def _read_blocks(path):
     """:func:`read_table`'s header and checked row blocks."""
     blocks = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -178,15 +203,23 @@ def _read_blocks(path):
 
 def write_table(path, header, columns):
     """Write a header row, then one row per index of the equal-length
-    ``columns``.  Floats are written with their round-trip ``repr`` and
-    integers with ``str``, so :func:`read_table` restores them bit-exactly."""
+    ``columns``, as ``csv.writer`` would.  Numbers are written with their
+    round-trip ``repr``, so :func:`read_table` restores them bit-exactly."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
             stop = start + TABLE_CHUNK_ROWS
-            writer.writerows(zip(*(c[start:stop].tolist() for c in columns)))
+            cells = [map(_quote if c.dtype.kind == "U" else repr, c[start:stop].tolist())
+                     for c in columns]
+            fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
+
+
+def _quote(text: str) -> str:
+    """A string cell as ``csv.writer`` writes it beside other cells."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
@@ -249,13 +282,19 @@ def load_loc_truth(path) -> LocalizationTruth:
 def normalize(frame: TimeSeriesFrame, stats: NormStats | None = None):
     """Per-series z-normalization.  Without ``stats`` the parameters are
     fitted on this frame; with ``stats`` (e.g. from the training split) they
-    are applied as-is.  Zero-std series are centered only.
+    are applied as-is.  Zero-std series are centered only.  A fitted mean
+    or std that overflows float64 is a :class:`DataError` naming its series.
 
     Returns (normalized frame, stats).
     """
     if stats is None:
-        mean = frame.values.mean(axis=0)
-        std = frame.values.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = frame.values.mean(axis=0)
+            std = frame.values.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            names = ", ".join(frame.names[i] for i in np.flatnonzero(bad))
+            raise DataError(f"series {names}: fitted mean or std is not finite (float64 overflow)")
         stats = NormStats(mean=mean, std=std)
     elif stats.mean.shape != (frame.d,):
         raise DataError(f"stats have {stats.mean.shape[0]} series, frame has {frame.d}")

@@ -97,7 +97,8 @@ def _rank_average(x: np.ndarray) -> np.ndarray:
 def select_pairs(train, k: int, method: str = "spearman") -> PairSelection:
     """Top-k series pairs ranked by correlation magnitude, descending; ties
     broken by lexicographic (i, j).  All C(d, 2) pairs are included when
-    they do not exceed k."""
+    they do not exceed k.  A constant series warns once, by its name when
+    ``train`` is a frame and by its index otherwise."""
     values = train.values if hasattr(train, "values") else np.asarray(train, dtype=np.float64)
     d = values.shape[1]
     if d < 2:
@@ -110,9 +111,11 @@ def select_pairs(train, k: int, method: str = "spearman") -> PairSelection:
     cols = values
     if method == "spearman":
         cols = np.column_stack([_rank_average(values[:, i]) for i in range(d)])
-    stds = cols.std(axis=0)
-    if np.any(stds == 0.0):
-        warnings.warn("constant series: its pair correlations set to 0", RuntimeWarning)
+    constant = np.flatnonzero(cols.std(axis=0) == 0.0)
+    if constant.size:
+        names = getattr(train, "names", range(d))
+        warnings.warn(f"constant series {', '.join(str(names[i]) for i in constant)}: "
+                      "its pair correlations set to 0", RuntimeWarning)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.corrcoef(cols, rowvar=False)
     corr = np.nan_to_num(corr, nan=0.0)

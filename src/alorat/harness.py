@@ -3,9 +3,10 @@ star-check driven by flat key=value config files with sections.
 
 Each run writes a resolved copy of its configuration next to the outputs so
 results can be reproduced from the output directory alone.  Exit codes:
-0 success, 1 internal error, 2 configuration error, 3 data error, 4 numeric
-failure.  Each failure prints one stderr line, and each library warning
-one ``warning:`` line.
+0 success, 1 internal error, 2 configuration error (an allocation that
+runs out of memory included), 3 data error, 4 numeric failure.  Each
+failure prints one stderr line, and each library warning one ``warning:``
+line.
 """
 
 from __future__ import annotations
@@ -176,9 +177,6 @@ def cmd_train(resolved: dict) -> int:
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     frame = data_mod.downsample_mean(frame, resolved["downsample"])
     frame, stats = data_mod.normalize(frame)
-    if stats.constant.any():
-        flagged = [frame.names[i] for i in np.flatnonzero(stats.constant)]
-        print(f"warning: constant series centered only: {', '.join(flagged)}")
     result = model_mod.train(frame, cfg)
 
     model_mod.save_checkpoint(
@@ -421,6 +419,10 @@ def main(argv=None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # a size the configuration asks for
+        message = " ".join(str(exc).split())
+        print(f"config error: not enough memory: {message}", file=sys.stderr)
+        return 2
     except Exception as exc:
         out = resolved.get("out")
         if (isinstance(exc, OSError) and out is not None and exc.filename is not None

@@ -282,15 +282,17 @@ def total_loss(batch: np.ndarray, params: ModelParams, cfg: TrainConfig) -> floa
 # -- training ---------------------------------------------------------------------
 
 
-def init_params(values: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
-    """Pair selection on the training values plus seeded parameter init."""
-    selection = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
+def init_params(train, cfg: TrainConfig, rng: np.random.Generator):
+    """Pair selection on the training frame (or its values) plus seeded
+    parameter init."""
+    selection = embedding.select_pairs(train, cfg.k_pairs, cfg.pair_method)
+    d = np.shape(getattr(train, "values", train))[1]
     kernels = embedding.init_kernels(
-        selection, n_series=values.shape[1], d_model=cfg.d_model, m=cfg.kernel_size, rng=rng
+        selection, n_series=d, d_model=cfg.d_model, m=cfg.kernel_size, rng=rng
     )
     layers = [attention.init_layer_params(cfg.d_model, cfg.heads, rng) for _ in range(cfg.layers)]
     bound = 1.0 / np.sqrt(cfg.d_model)
-    w_out = rng.uniform(-bound, bound, size=(cfg.d_model, values.shape[1]))
+    w_out = rng.uniform(-bound, bound, size=(cfg.d_model, d))
     params = ModelParams(kernels=kernels, layers=layers, w_out=w_out)
     return params, selection
 
@@ -371,10 +373,10 @@ def train(
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if init is None:
-        params, selection = init_params(values, cfg, rng)
+        params, selection = init_params(train_frame, cfg, rng)
     else:
         params = init.copy()
-        selection = embedding.select_pairs(values, cfg.k_pairs, cfg.pair_method)
+        selection = embedding.select_pairs(train_frame, cfg.k_pairs, cfg.pair_method)
     trained = [name in groups for name, _ in params.arrays()]
     optimizer = ag.Adam([a for (_, a), keep in zip(params.arrays(), trained) if keep],
                         lr=cfg.learning_rate)

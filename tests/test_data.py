@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,17 @@ class TestNormalize:
         normed, stats = data.normalize(frame)
         np.testing.assert_array_equal(normed.values[:, 0], np.zeros(10))
         assert stats.constant.tolist() == [True, False]
+
+    def test_std_overflow_names_the_series(self):
+        """Finite values whose std overflows: before, std was inf and the
+        series silently became zeros without being flagged constant."""
+        values = np.random.default_rng(3).normal(size=(120, 2))
+        values[:, 1] *= 1e307
+        frame = TimeSeriesFrame(values=values, names=("small", "big"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^series big: fitted mean or std is not finite"):
+                data.normalize(frame)
 
     def test_apply_train_stats_matches_hand_computation(self):
         rng = np.random.default_rng(2)

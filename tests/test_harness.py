@@ -694,13 +694,30 @@ class TestMainBoundary:
                                      "t_window": 4, "d_model": 4, "heads": 2, "layers": 1,
                                      "max_epochs": 1}})
         assert main(["train", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: constant series c: its pair correlations set to 0\n"
+        assert not [line for line in captured.out.splitlines() if line.startswith("warning")]
+
+    def test_memory_error_is_one_config_line(self, workspace, capsys, monkeypatch):
+        """An allocation too large for the machine is a config error, not
+        an internal one.  The MemoryError is raised by hand: a real one
+        would need an allocation that the kernel may grant and then kill."""
+        _, cfg = workspace
+
+        def too_large(frame, cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array\nwith shape (1, 2)")
+
+        monkeypatch.setattr(model_mod, "train", too_large)
+        assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "warning: constant series: its pair correlations set to 0\n")
+            "config error: not enough memory: Unable to allocate 7.28 TiB for an array "
+            "with shape (1, 2)\n")
 
 
 # id: (command, config text, exit code, start of the one stderr line).
 # {data} is a valid CSV, {rows30} a 30-row one, {latin1} one whose header has
-# a Latin-1 byte, {file} an existing file; {ini_dir} and {model_dir} are
+# a Latin-1 byte, {huge} a 120-row one whose series b is scaled by 1e307 (its
+# std overflows), {file} an existing file; {ini_dir} and {model_dir} are
 # output directories whose resolved_config.ini or model.alora is a directory.
 _TRAIN = "[train]\ndata = {data}\nout = {out}\n"
 _SIM = "[simulate]\nout = {out}\n"
@@ -721,6 +738,8 @@ BOUNDARY_CASES = {
                             "config error: Source contains parsing"),
     "data_not_utf8": ("train", "[train]\ndata = {latin1}\nout = {out}\n", 3,
                       "data error: {latin1}: not UTF-8 text"),
+    "data_std_overflows": ("train", "[train]\ndata = {huge}\nout = {out}\n", 3,
+                           "data error: series b: fitted mean or std is not finite"),
     "learning_rate_nan": ("train", _TRAIN + "learning_rate = nan\n", 2,
                           "config error: learning_rate"),
     "learning_rate_inf": ("train", _TRAIN + "learning_rate = inf\n", 2,
@@ -778,7 +797,8 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     writes no output."""
     command, text, code, start = BOUNDARY_CASES[case]
     paths = {"data": tmp_path / "data.csv", "rows30": tmp_path / "rows30.csv",
-             "latin1": tmp_path / "latin1.csv", "file": tmp_path / "file",
+             "latin1": tmp_path / "latin1.csv", "huge": tmp_path / "huge.csv",
+             "file": tmp_path / "file",
              "out": tmp_path / "out", "ini_dir": tmp_path / "ini_dir",
              "model_dir": tmp_path / "model_dir"}
     (paths["ini_dir"] / "resolved_config.ini").mkdir(parents=True)
@@ -788,6 +808,9 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     paths["rows30"].write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows),
                                encoding="utf-8")
     paths["latin1"].write_bytes("a,b\u00e9\n1,2\n3,4\n".encode("latin-1"))
+    huge = np.random.default_rng(1).normal(size=(120, 2)) * [1.0, 1e307]
+    paths["huge"].write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in huge.tolist()),
+                             encoding="utf-8")
     paths["file"].write_text("")
     ini = tmp_path / "boundary.ini"
     ini.write_text(text.format(**paths), encoding="utf-8")

@@ -2,6 +2,9 @@
 reader's checks, and a guard that only `data` touches the csv module."""
 
 import ast
+import csv
+import io
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -175,6 +178,84 @@ class TestReadTable:
         (tmp_path / "t.csv").write_text("a,b,c\n 1.5,1_000,-1E3\n")
         assert data.read_table(tmp_path / "t.csv")[1].tolist() == [[1.5, 1000.0, -1000.0]]
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes("\ufefflabel,a,b\n0,1.5,2\n1,3,4\n".encode("utf-8"))
+        frame = data.load_csv(tmp_path / "t.csv")
+        assert frame.names == ("a", "b")
+        assert frame.labels.tolist() == [0, 1]
+        assert frame.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_string_cells_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        labels = ["plain", "a,b", 'q"x', "two\nlines", "", " pad ", "\u00e9"]
+        data.write_table(tmp_path / "t.csv", ["", "v"], [labels, np.arange(7.0)])
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [["", "v"], *zip(labels, np.arange(7.0).tolist())])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == expected.getvalue()
+
+
+# Cells of the differential corpus: numbers loadtxt and float both parse,
+# spellings only float parses, and cells that both reject.
+_CELLS = ["1", "-2.5", "1e-300", "-0.0", " 1.5", "1.5 ", ".5", "+1e3", '"3"', '"1,5"',
+          "1_000", "\u0661\u0662", "nan", "-inf", "Infinity", "1e999", '"1"5', '1"5"', '""',
+          "", "x", "0x1p3", "1 2"]
+
+
+def _corpus():
+    """A seeded corpus of small table files, (name, bytes)."""
+    rng = np.random.default_rng(16)
+    files = [("empty", b""), ("header_only", b"a,b\n"), ("header_no_newline", b"a,b"),
+             ("blank_only", b"a,b\n\n"), ("blank_first", b"a,b\n\n1,2\n"),
+             ("blank_last", b"a,b\n1,2\n\n"),
+             ("bom", b"\xef\xbb\xbfa,b\n1,2\n"), ("latin1_row", b"a,b\n1,2\n\xe9,2\n"),
+             ("quoted_newline", b'a,b\n"1\n",2\n'), ("quoted_header", b'"a,b",c\n1,2\n')]
+    for k in range(300):
+        width = int(rng.integers(1, 4))
+        rows = []
+        for _ in range(int(rng.integers(0, 8))):
+            cells = width if rng.random() < 0.85 else int(rng.integers(0, 5))
+            if rng.random() < 0.6:
+                rows.append(",".join(repr(float(x)) for x in rng.normal(size=cells) * 1e3))
+            else:
+                rows.append(",".join(_CELLS[int(i)] for i in rng.integers(0, len(_CELLS), cells)))
+        end = ["\n", "\r\n", "\r"][int(rng.integers(0, 3))]
+        text = end.join(["a,b,c"[: 2 * width - 1], *rows]) + (end if rng.random() < 0.8 else "")
+        files.append((f"seeded_{k}", text.encode("utf-8")))
+    return files
+
+
+def test_reader_matches_the_checked_walk(tmp_path, monkeypatch):
+    """read_table returns what the row walk alone returns: the same header
+    and bytes, or the same DataError text, and warns of nothing.  The
+    corpus holds tables taken from loadtxt, tables only the walk reads and
+    rejected files; the small chunk puts chunk boundaries inside most
+    files."""
+    monkeypatch.setattr(data, "TABLE_CHUNK_ROWS", 2)
+    read_blocks, walked = data._read_blocks, []
+    monkeypatch.setattr(data, "_read_blocks", lambda path: walked.append(path) or read_blocks(path))
+
+    def outcome(path):
+        try:
+            header, table = data.read_table(path)
+        except DataError as exc:
+            return str(exc)
+        return header, table.dtype, table.shape, table.tobytes()
+
+    kinds = set()
+    for name, body in _corpus():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(body)
+        with monkeypatch.context() as m:
+            m.setattr(data, "_parse_rows", lambda lines: None)
+            expected = outcome(path)
+        walked.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert outcome(path) == expected, name
+        assert caught == [], name
+        kinds.add((isinstance(expected, tuple), bool(walked)))
+    assert kinds >= {(True, False), (True, True), (False, True)}
+
 
 class TestLocTruthReader:
     def test_requires_header(self, tmp_path):
@@ -191,6 +272,10 @@ class TestLocTruthReader:
     def test_integral_floats_accepted(self, tmp_path):
         (tmp_path / "t.csv").write_text("timestep,series_index\n3.0,1\n3,2.0\n")
         assert data.load_loc_truth(tmp_path / "t.csv").by_time == {3: frozenset({1, 2})}
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes("\ufefftimestep,series_index\n3,1\n".encode("utf-8"))
+        assert data.load_loc_truth(tmp_path / "t.csv").by_time == {3: frozenset({1})}
 
 
 def test_only_data_imports_csv():
