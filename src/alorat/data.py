@@ -138,8 +138,9 @@ def read_table(path):
 
     Returns (header, N x columns float64 array).  A ragged row (a blank line
     included), a cell that ``float`` rejects and a non-finite cell are each a
-    :class:`DataError` naming ``path:line``; so are an empty file and a
-    header without rows.  A leading UTF-8 byte-order mark is skipped.
+    :class:`DataError` naming ``path:line``; so are an empty file, a
+    header without rows and a cell that ``csv`` rejects (one longer than
+    its field size limit).  A leading UTF-8 byte-order mark is skipped.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -154,6 +155,8 @@ def read_table(path):
             table = np.concatenate(blocks)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a cell over csv's field size limit
+        raise DataError(f"{path}: {exc}") from None
     return header, table
 
 

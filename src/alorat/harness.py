@@ -36,77 +36,67 @@ class ConfigError(ValueError):
     """Bad, missing, or unknown configuration."""
 
 
-# key -> (type, default); default None (without a type suffix "!") means optional
+# key -> (type, default, limit); a default None (without a type suffix "!")
+# means optional.  A limit is a (requirement, test) pair: see model.check_limit.
+_FINITE = ("finite", math.isfinite)
 _SCHEMAS = {
     "train": {
-        "data": ("str", "!required"),
-        "out": ("str", "!required"),
-        **{f.name: (f.type, f.default) for f in dataclasses.fields(TrainConfig)},
-        "label_column": ("str", "label"),
-        "downsample": ("int", 1),
+        "data": ("str", "!required", None),
+        "out": ("str", "!required", None),
+        **{f.name: (f.type, f.default, f.metadata["limit"])
+           for f in dataclasses.fields(TrainConfig)},
+        "label_column": ("str", "label", None),
+        "downsample": ("int", 1, model_mod.at_least(1)),
     },
     "score": {
-        "checkpoint": ("str", "!required"),
-        "data": ("str", "!required"),
-        "out": ("str", "!required"),
-        "h2": ("float", None),
-        "label_column": ("str", "label"),
+        "checkpoint": ("str", "!required", None),
+        "data": ("str", "!required", None),
+        "out": ("str", "!required", None),
+        "h2": ("float", None, ("a number, not nan", lambda v: not math.isnan(v))),  # inf: no alarm
+        "label_column": ("str", "label", None),
     },
     "localize": {
-        "checkpoint": ("str", "!required"),
-        "data": ("str", "!required"),
-        "out": ("str", "!required"),
-        "top_k": ("int", None),
-        "absolute": ("bool", False),
-        "label_column": ("str", "label"),
+        "checkpoint": ("str", "!required", None),
+        "data": ("str", "!required", None),
+        "out": ("str", "!required", None),
+        "top_k": ("int", None, model_mod.at_least(1)),
+        "absolute": ("bool", False, None),
+        "label_column": ("str", "label", None),
     },
     "eval": {
-        "scores": ("str", "!required"),
-        "data": ("str", "!required"),
-        "out": ("str", "!required"),
-        "las": ("str", None),
-        "loc_truth": ("str", None),
-        "t_window": ("int", 20),
-        "horizon": ("int", None),
-        "p_percents": ("str", "100,150"),
-        "label_column": ("str", "label"),
+        "scores": ("str", "!required", None),
+        "data": ("str", "!required", None),
+        "out": ("str", "!required", None),
+        "las": ("str", None, None),
+        "loc_truth": ("str", None, None),
+        "t_window": ("int", 20, model_mod.at_least(1)),
+        "horizon": ("int", None, model_mod.at_least(1)),
+        "p_percents": ("str", "100,150", None),
+        "label_column": ("str", "label", None),
     },
     "simulate": {
-        "out": ("str", "!required"),
-        "seed": ("int", 0),
-        "n": ("int", 500),
-        "t1": ("int", 200),
-        "t2": ("int", 300),
-        "delta": ("float", 3.0),
-        "mu1": ("float", 0.0),
-        "mu2": ("float", 0.0),
-        "sigma1": ("float", 1.0),
-        "sigma2": ("float", 1.0),
-        "inject_kind": ("str", None),
-        "inject_series": ("int", 1),
-        "inject_start": ("int", None),
-        "inject_end": ("int", None),
-        "inject_magnitude": ("float", 3.0),
+        "out": ("str", "!required", None),
+        "seed": ("int", 0, model_mod.at_least(0)),
+        "n": ("int", 500, model_mod.at_least(1)),
+        "t1": ("int", 200, None),
+        "t2": ("int", 300, None),
+        "delta": ("float", 3.0, _FINITE),
+        "mu1": ("float", 0.0, _FINITE),
+        "mu2": ("float", 0.0, _FINITE),
+        "sigma1": ("float", 1.0, model_mod.FINITE_AT_LEAST_0),
+        "sigma2": ("float", 1.0, model_mod.FINITE_AT_LEAST_0),
+        "inject_kind": ("str", None, None),
+        "inject_series": ("int", 1, None),
+        "inject_start": ("int", None, None),
+        "inject_end": ("int", None, None),
+        "inject_magnitude": ("float", 3.0, _FINITE),
     },
     "star-check": {
-        "out": ("str", None),
-        "seed": ("int", 0),
-        "configs": ("int", 20),
-        "tolerance": ("float", 1e-6),
+        "out": ("str", None, None),
+        "seed": ("int", 0, model_mod.at_least(0)),
+        "configs": ("int", 20, model_mod.at_least(1)),
+        "tolerance": ("float", 1e-6, model_mod.FINITE_ABOVE_0),
     },
-}
-
-
-# key -> (requirement, test): range checks that name the key, in every section
-# that has it; a (section, key) entry applies to that section alone.
-_LIMITS = {
-    "seed": (">= 0", lambda v: v >= 0),
-    **dict.fromkeys(("n", "downsample", "configs", "top_k", "horizon", ("eval", "t_window")),
-                    (">= 1", lambda v: v >= 1)),
-    **dict.fromkeys(("delta", "mu1", "mu2", "inject_magnitude"), ("finite", math.isfinite)),
-    "h2": ("a number, not nan", lambda v: not math.isnan(v)),  # inf silences every alarm
-    **dict.fromkeys(("sigma1", "sigma2"), ("finite and >= 0", lambda v: 0 <= v < math.inf)),
-    "tolerance": ("finite and > 0", lambda v: 0 < v < math.inf),
 }
 
 
@@ -128,7 +118,7 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
             raise ConfigError(f"unknown keys in [{command}]: {', '.join(sorted(unknown))}")
 
     resolved = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, limit) in schema.items():
         if key in overrides and overrides[key] is not None:
             resolved[key] = overrides[key]
         elif key in raw:
@@ -137,9 +127,7 @@ def _load_section(config_path: str | None, command: str, overrides: dict) -> dic
             raise ConfigError(f"[{command}] is missing required key {key!r}")
         else:
             resolved[key] = default
-        limit = _LIMITS.get((command, key), _LIMITS.get(key))
-        if limit is not None and resolved[key] is not None and not limit[1](resolved[key]):
-            raise ConfigError(f"{key} must be {limit[0]}")
+        model_mod.check_limit(key, resolved[key], limit, ConfigError)
     return resolved
 
 
@@ -276,9 +264,7 @@ def cmd_eval(resolved: dict) -> int:
     thresholds, sp, sr, sf = metrics_mod.f1_sweep_curve(scores, labels)
     metrics_mod.write_sweep_csv(out / "sweep.csv", thresholds, sp, sr, sf)
 
-    horizon = resolved["horizon"]
-    if horizon is None:
-        horizon = 2 * resolved["t_window"]
+    horizon = resolved["horizon"] or 2 * resolved["t_window"]  # horizon is None or >= 1
     pred_events = metrics_mod.events_from_labels(scores >= h2)
     true_events = metrics_mod.events_from_labels(labels)
     aff = metrics_mod.affiliation_pr(pred_events, true_events, horizon)

@@ -35,6 +35,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "parse_value",
+    "check_limit",
 ]
 
 CHECKPOINT_MAGIC = "ALORA3"
@@ -42,51 +43,6 @@ CHECKPOINT_MAGIC = "ALORA3"
 
 class NumericError(RuntimeError):
     """Training or scoring produced a non-finite value."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    t_window: int = 20
-    d_model: int = 64
-    heads: int = 8
-    layers: int = 3
-    lambda_reg: float = 10.0
-    learning_rate: float = 1e-4
-    max_epochs: int = 50
-    patience: int = 5
-    k_pairs: int = 512
-    r: int = 1
-    seed: int = 0
-    skip: bool = True
-    activation: str = "identity"
-    mask: str = "none"
-    batch_size: int = 64
-    pair_method: str = "spearman"
-    kernel_size: int = 3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
-            raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if self.t_window < 2:
-            raise ValueError("t_window must be >= 2")
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if self.heads < 1 or self.d_model < 1 or self.d_model % self.heads != 0:
-            raise ValueError(f"heads {self.heads} must divide d_model {self.d_model}")
-        if self.activation not in attention.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.mask not in ("none", "causal"):
-            raise ValueError(f"unknown mask {self.mask!r}")
-        if self.pair_method not in ("spearman", "pearson"):
-            raise ValueError(f"unknown pair method {self.pair_method!r}")
-        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd and >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0 or self.k_pairs < 1:
-            raise ValueError("batch_size/max_epochs >= 1, patience >= 0, k_pairs >= 1")
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -104,6 +60,59 @@ def parse_value(kind: str, raw: str, key: str, error: type[ValueError] = ValueEr
         return parse(raw)
     except (KeyError, ValueError):
         raise error(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+
+
+def check_limit(key: str, value, limit, error: type[ValueError] = ValueError):
+    """The one range check of config keys.  A limit is a (requirement,
+    test) pair; a value that fails the test raises ``error("{key} must be
+    {requirement}")``.  A None value or limit passes."""
+    if limit is not None and value is not None and not limit[1](value):
+        raise error(f"{key} must be {limit[0]}")
+
+
+def at_least(low):
+    return (f">= {low}", lambda v: v >= low)
+
+
+def one_of(*choices):
+    return ("one of " + ", ".join(choices), lambda v: v in choices)
+
+
+FINITE_AT_LEAST_0 = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+FINITE_ABOVE_0 = ("finite and > 0", lambda v: 0 < v < math.inf)
+
+
+def _key(default, limit):
+    return field(default=default, metadata={"limit": limit})
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training settings; each field's metadata holds its limit."""
+
+    t_window: int = _key(20, at_least(2))
+    d_model: int = _key(64, at_least(1))
+    heads: int = _key(8, at_least(1))
+    layers: int = _key(3, at_least(1))
+    lambda_reg: float = _key(10.0, FINITE_AT_LEAST_0)
+    learning_rate: float = _key(1e-4, FINITE_ABOVE_0)
+    max_epochs: int = _key(50, at_least(1))
+    patience: int = _key(5, at_least(0))
+    k_pairs: int = _key(512, at_least(1))
+    r: int = _key(1, at_least(0))
+    seed: int = _key(0, at_least(0))
+    skip: bool = _key(True, None)
+    activation: str = _key("identity", one_of(*attention.ACTIVATIONS))
+    mask: str = _key("none", one_of("none", "causal"))
+    batch_size: int = _key(64, at_least(1))
+    pair_method: str = _key("spearman", one_of("spearman", "pearson"))
+    kernel_size: int = _key(3, ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1))
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_limit(f.name, getattr(self, f.name), f.metadata["limit"])
+        if self.d_model % self.heads:
+            raise ValueError(f"heads {self.heads} must divide d_model {self.d_model}")
 
 
 @dataclass
@@ -360,10 +369,7 @@ def train(
     unknown = groups - set(PARAM_GROUPS)
     if unknown:
         raise ValueError(f"unknown parameter groups: {sorted(unknown)}")
-    values = train_frame.values
-    if values.shape[0] < cfg.t_window:
-        raise DataError(f"training length {values.shape[0]} shorter than window {cfg.t_window}")
-    win = windows(values, cfg.t_window)
+    win = windows(train_frame.values, cfg.t_window)
     num = win.shape[0]
     if num < 2:
         raise DataError("need at least 2 training windows for the validation split")
@@ -450,8 +456,6 @@ def score_frame(
     values = frame.values
     n, d = values.shape
     t_len = cfg.t_window
-    if n < t_len:
-        raise DataError(f"test length {n} shorter than window {t_len}")
     win = windows(values, t_len)
 
     res_per_series = np.empty((n, d))
@@ -459,15 +463,21 @@ def score_frame(
 
     def forward(chunk):
         """The chunk's residuals into ``res_per_series``; returns its
-        final-layer attention."""
+        final-layer attention.  A non-finite residual raises here, before
+        the chunk's spectrum is taken."""
         nonlocal offset
         recon, s_layers = batch_forward(chunk, params, cfg)
+        first, stop = offset + t_len - 1, offset + t_len - 1 + chunk.shape[0]
+        res_per_series[first:stop] = (chunk[:, -1, :] - recon[:, -1, :]) ** 2
         if offset == 0:
+            first = 0
             res_per_series[: t_len - 1] = (values[: t_len - 1] - recon[0, : t_len - 1]) ** 2
-        res_per_series[offset + t_len - 1 : offset + t_len - 1 + chunk.shape[0]] = (
-            chunk[:, -1, :] - recon[:, -1, :]
-        ) ** 2
         offset += chunk.shape[0]
+        bad = np.argwhere(~np.isfinite(res_per_series[first:stop]))
+        if bad.size:
+            t, j = bad[0]
+            raise NumericError(f"non-finite reconstruction residual of series "
+                               f"{frame.names[j]} at timestep {first + t}")
         return s_layers[-1]
 
     if h1 is None:
@@ -480,7 +490,7 @@ def score_frame(
         counts = np.concatenate(linalg.overlap(forward, rank, _chunks(win, cfg)))
 
     residual_sq = res_per_series.sum(axis=1)
-    if not np.isfinite(residual_sq).all():
+    if not np.isfinite(residual_sq).all():  # finite terms whose sum overflows
         raise NumericError("non-finite reconstruction residuals")
     alora = None if h1 is None else np.concatenate([np.full(t_len - 1, counts[0]), counts])
     return ScoreSeries(

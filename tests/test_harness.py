@@ -230,6 +230,29 @@ class TestScoreCommand:
         assert main(["score", "--config", str(cfg)]) == 3
         assert ":6: non-finite cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "localize"])
+    def test_overflowing_data_exits_4_before_any_spectrum(self, workspace, capsys, monkeypatch,
+                                                          command):
+        """Data far outside the checkpoint's normalization overflows the
+        forward pass.  Each chunk's residuals are checked before its
+        spectrum is taken, so the one line names the first bad series and
+        timestep, not a failed eigensolver."""
+        tmp_path, cfg = workspace
+        assert main(["train", "--config", str(cfg)]) == 0
+        csv_path = tmp_path / "sim" / "sim.csv"
+        frame = data.load_csv(csv_path)
+        data.save_csv(data.TimeSeriesFrame(values=frame.values * [1.0, 1e307], names=frame.names,
+                                           labels=frame.labels), csv_path)
+
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectrum of a non-finite chunk")
+
+        monkeypatch.setattr(linalg, "spectrum", no_spectrum)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite reconstruction residual of series x1 at timestep 0\n")
+
 
 class TestCheckpointDecoding:
     """A damaged checkpoint is a data error, never a crash.  The CRC-32 line
@@ -717,7 +740,8 @@ class TestMainBoundary:
 # id: (command, config text, exit code, start of the one stderr line).
 # {data} is a valid CSV, {rows30} a 30-row one, {latin1} one whose header has
 # a Latin-1 byte, {huge} a 120-row one whose series b is scaled by 1e307 (its
-# std overflows), {file} an existing file; {ini_dir} and {model_dir} are
+# std overflows), {long_cell} one with a 140,000-character header cell,
+# {file} an existing file; {ini_dir} and {model_dir} are
 # output directories whose resolved_config.ini or model.alora is a directory.
 _TRAIN = "[train]\ndata = {data}\nout = {out}\n"
 _SIM = "[simulate]\nout = {out}\n"
@@ -786,6 +810,16 @@ BOUNDARY_CASES = {
     "checkpoint_unwritable": ("train", "[train]\ndata = {rows30}\nout = {model_dir}\n" + _TINY
                               + "max_epochs = 1\n", 2,
                               "config error: cannot write {model_dir}/model.alora: "),
+    "header_cell_too_long": ("train", "[train]\ndata = {long_cell}\nout = {out}\n", 3,
+                             "data error: {long_cell}: field larger than field limit (131072)\n"),
+    **{f"train_{key}_{value}": ("train", _TRAIN + f"{key} = {value}\n", 2,
+                                f"config error: {key} must be {requirement}\n")
+       for key, value, requirement in [
+           ("patience", -1, ">= 0"), ("batch_size", 0, ">= 1"), ("k_pairs", 0, ">= 1"),
+           ("max_epochs", 0, ">= 1"), ("heads", 0, ">= 1"), ("d_model", 0, ">= 1"),
+           ("kernel_size", 2, "odd and >= 1"), ("activation", "relu", "one of identity, gelu"),
+           ("mask", "full", "one of none, causal"),
+           ("pair_method", "kendall", "one of spearman, pearson")]},
 }
 
 
@@ -798,7 +832,7 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     command, text, code, start = BOUNDARY_CASES[case]
     paths = {"data": tmp_path / "data.csv", "rows30": tmp_path / "rows30.csv",
              "latin1": tmp_path / "latin1.csv", "huge": tmp_path / "huge.csv",
-             "file": tmp_path / "file",
+             "long_cell": tmp_path / "long_cell.csv", "file": tmp_path / "file",
              "out": tmp_path / "out", "ini_dir": tmp_path / "ini_dir",
              "model_dir": tmp_path / "model_dir"}
     (paths["ini_dir"] / "resolved_config.ini").mkdir(parents=True)
@@ -811,6 +845,7 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     huge = np.random.default_rng(1).normal(size=(120, 2)) * [1.0, 1e307]
     paths["huge"].write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in huge.tolist()),
                              encoding="utf-8")
+    paths["long_cell"].write_text("a," + "b" * 140_000 + "\n1,2\n3,4\n", encoding="utf-8")
     paths["file"].write_text("")
     ini = tmp_path / "boundary.ini"
     ini.write_text(text.format(**paths), encoding="utf-8")
