@@ -148,6 +148,8 @@ def _prepare_out(resolved: dict, command: str) -> Path:
 
 
 def _require_file(path: str) -> str:
+    if Path(path).is_dir():
+        raise DataError(f"{path} is a directory, not a file")
     if not Path(path).is_file():
         raise FileNotFoundError(f"missing input file: {path}")
     return path
@@ -161,10 +163,10 @@ def cmd_train(resolved: dict) -> int:
         cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out = _prepare_out(resolved, "train")
     frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
     frame = data_mod.downsample_mean(frame, resolved["downsample"])
     frame, stats = data_mod.normalize(frame)
+    out = _prepare_out(resolved, "train")  # a diverging run leaves its resolved config
     result = model_mod.train(frame, cfg)
 
     model_mod.save_checkpoint(
@@ -181,8 +183,9 @@ def cmd_train(resolved: dict) -> int:
 
 
 def _load_model(resolved: dict):
-    params, cfg, h1, stats = model_mod.load_checkpoint(_require_file(resolved["checkpoint"]))
-    frame = data_mod.load_csv(_require_file(resolved["data"]), resolved["label_column"])
+    checkpoint, data = _require_file(resolved["checkpoint"]), _require_file(resolved["data"])
+    params, cfg, h1, stats = model_mod.load_checkpoint(checkpoint)
+    frame = data_mod.load_csv(data, resolved["label_column"])
     if frame.d != params.d_in:
         raise ConfigError(f"data has {frame.d} series, checkpoint expects {params.d_in}")
     if stats is not None:
@@ -194,8 +197,8 @@ def cmd_score(resolved: dict) -> int:
     params, cfg, h1, frame = _load_model(resolved)
     if h1 is None:
         raise ConfigError("checkpoint has no calibrated h1; re-run training")
-    out = _prepare_out(resolved, "score")
     series = model_mod.score_frame(frame, params, cfg, h1)
+    out = _prepare_out(resolved, "score")
     h2 = resolved["h2"]
     header = ["timestamp", "anomaly_score", "alora_t_score", "residual_sq"]
     columns = [np.arange(frame.n), series.anomaly_score, series.alora_score, series.residual_sq]
@@ -216,8 +219,8 @@ def cmd_score(resolved: dict) -> int:
 
 def cmd_localize(resolved: dict) -> int:
     params, cfg, _, frame = _load_model(resolved)
-    out = _prepare_out(resolved, "localize")
     series = model_mod.score_frame(frame, params, cfg, None)
+    out = _prepare_out(resolved, "localize")
     weights = loc_mod.contribution_weights(params, cfg.skip, cfg.activation)
     las_matrix = loc_mod.las(
         weights.c,
@@ -246,7 +249,6 @@ def cmd_eval(resolved: dict) -> int:
     for p in p_percents:
         if not p.isdecimal() or int(p) < 1:
             raise ConfigError(f"p_percents entry {p!r} is not an integer >= 1")
-    out = _prepare_out(resolved, "eval")
     header, table = data_mod.read_table(_require_file(resolved["scores"]))
     if "anomaly_score" not in header:
         raise DataError(f"{resolved['scores']}: expected a scores CSV with an anomaly_score column")
@@ -259,7 +261,15 @@ def cmd_eval(resolved: dict) -> int:
     labels = frame.labels
     if labels.sum() == 0:
         raise DataError(f"{resolved['data']}: no positive labels; F1 undefined")
+    if resolved["las"] is not None:
+        _, las_matrix = data_mod.read_table(_require_file(resolved["las"]))
+        if las_matrix.shape != (frame.n, frame.d):
+            raise DataError(f"{resolved['las']}: {las_matrix.shape[0]} x {las_matrix.shape[1]} "
+                            f"LAS matrix for {frame.n} x {frame.d} data")
+        truth = data_mod.load_loc_truth(_require_file(resolved["loc_truth"]))
+        truth.validate_dims(frame.n, frame.d)
 
+    out = _prepare_out(resolved, "eval")
     f1, precision, recall, h2 = metrics_mod.best_f1_sweep(scores, labels)
     thresholds, sp, sr, sf = metrics_mod.f1_sweep_curve(scores, labels)
     metrics_mod.write_sweep_csv(out / "sweep.csv", thresholds, sp, sr, sf)
@@ -282,12 +292,6 @@ def cmd_eval(resolved: dict) -> int:
     }
 
     if resolved["las"] is not None:
-        _, las_matrix = data_mod.read_table(_require_file(resolved["las"]))
-        if las_matrix.shape != (frame.n, frame.d):
-            raise DataError(f"{resolved['las']}: {las_matrix.shape[0]} x {las_matrix.shape[1]} "
-                            f"LAS matrix for {frame.n} x {frame.d} data")
-        truth = data_mod.load_loc_truth(_require_file(resolved["loc_truth"]))
-        truth.validate_dims(frame.n, frame.d)
         ranked = {t: loc_mod.rank_series(las_matrix[t], frame.d) for t in truth.by_time}
         for p in map(int, p_percents):
             report[f"hit_rate_at_{p}"] = float(np.mean(

@@ -1,6 +1,6 @@
-"""Dense real-matrix kernels: the value-only spectrum, the softmax over the
-last axis, and the truncated Geman low-rank penalty with its closed-form
-subgradient.
+"""Dense real-matrix kernels: the singular values (:func:`spectrum`, the one
+routine that takes them), the softmax over the last axis, and the truncated
+Geman low-rank penalty with its closed-form subgradient.
 
 Everything here is pure and operates on float64 ``numpy`` arrays; the rest
 of the package is built on these primitives.  The only threads of the package
@@ -18,6 +18,13 @@ import numpy as np
 __all__ = ["geman_batch", "spectrum"]
 
 
+def spectrum(s: np.ndarray) -> np.ndarray:
+    """Singular values of every matrix of a ``(..., T, T)`` stack,
+    descending: ``svd(compute_uv=False)``, the package's one singular-value
+    routine.  Rank counts, h1 and the Geman penalty's value all read it."""
+    return np.linalg.svd(s, compute_uv=False)
+
+
 def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.ndarray | None]:
     """Truncated Geman penalty ``sum_{i>r} sigma_i / (sigma_i + 1)``, summed
     over a stack of square matrices with shape ``(..., T, T)`` and sparing
@@ -30,8 +37,7 @@ def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.nda
     no gradient, so the gradient vanishes wherever a matrix already has
     rank <= r.  ``r >= T`` gives loss 0 and zero gradients.  A single
     matrix ``m`` is the stack ``m[None]``.  ``grad=False`` returns
-    ``(loss, None)`` from ``svd(compute_uv=False)``, not :func:`spectrum`:
-    the penalty's tail values lie below what ``eigvalsh(S^T S)`` resolves.
+    ``(loss, None)`` from the values of :func:`spectrum`.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -43,7 +49,7 @@ def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.nda
     if grad:
         u, sigma, vh = _stack_map(np.linalg.svd, s)
     else:
-        sigma = _stack_map(np.linalg.svd, s, compute_uv=False)
+        sigma = _stack_map(spectrum, s)
     tail = sigma[..., r:]
     loss = float(np.sum(tail / (tail + 1.0)))
     if not grad:
@@ -114,34 +120,6 @@ def overlap(produce, consume, items) -> list:
         if pending is not None:
             pending.exception()  # waits for the helper without raising
     return outs
-
-
-# Below this cutoff every singular value compared against it comes from the
-# SVD: there eigvalsh(S^T S) has no correct digits left.
-SPECTRUM_SVD_BELOW = 1e-6
-
-
-def spectrum(s: np.ndarray, near: float | None = None) -> np.ndarray:
-    """Singular values of every square matrix of a ``(..., T, T)`` stack,
-    descending, as ``sqrt(max(eigvalsh(S^T S), 0))``.
-
-    The eigenvalues carry an absolute error of about ``T * eps * sigma_1**2``.
-    With ``near``, every matrix that has an eigenvalue within that bound of
-    ``near**2`` is recomputed with ``svd(compute_uv=False)``, and so is the
-    whole stack when ``near`` is below :data:`SPECTRUM_SVD_BELOW`; so the
-    count of values above ``near``, and the largest value at ``near``, are
-    those of the SVD.
-    """
-    if near is not None and near < SPECTRUM_SVD_BELOW:
-        return np.linalg.svd(s, compute_uv=False)
-    lam = np.linalg.eigvalsh(np.swapaxes(s, -1, -2) @ s)[..., ::-1]
-    sigma = np.sqrt(np.maximum(lam, 0.0))
-    if near is not None:
-        bound = s.shape[-1] * np.finfo(np.float64).eps * lam[..., :1]
-        redo = np.any(np.abs(lam - near * near) <= bound, axis=-1)
-        if redo.any():
-            sigma[redo] = np.linalg.svd(s[redo], compute_uv=False)
-    return sigma
 
 
 def softmax_last(a: np.ndarray) -> np.ndarray:

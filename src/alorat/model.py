@@ -314,17 +314,14 @@ def _mean_loss(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
 
 def _h1_from_params(win: np.ndarray, params: ModelParams, cfg: TrainConfig) -> float:
     """The cutoff rule: the largest of the final layer's 4th and 5th
-    singular values over every window (the trailing ones when T < 5).  Each
-    chunk's largest value is made exact by a second :func:`linalg.spectrum`
-    call near it."""
+    singular values over every window (the trailing ones when T < 5)."""
     idx = [i for i in (3, 4) if i < cfg.t_window] or [cfg.t_window - 1]
 
     def final_layer(chunk):
         return batch_forward(chunk, params, cfg)[1][-1]
 
     def sig_cols(s_final):
-        sigma = linalg.spectrum(s_final)[:, idx]
-        return linalg.spectrum(s_final, near=float(sigma.max()))[:, idx]
+        return linalg.spectrum(s_final)[:, idx]
 
     traj = np.concatenate(linalg.overlap(final_layer, sig_cols, _chunks(win, cfg)), axis=0)
     return float(traj.max())
@@ -485,7 +482,7 @@ def score_frame(
             forward(chunk)
     else:
         def rank(s_final):
-            return np.sum(linalg.spectrum(s_final, near=h1) > h1, axis=1)
+            return np.sum(linalg.spectrum(s_final) > h1, axis=1)
 
         counts = np.concatenate(linalg.overlap(forward, rank, _chunks(win, cfg)))
 

@@ -73,7 +73,7 @@ def h1_rule(monkeypatch):
     trajectories: ``model._h1_from_params`` over windows whose final-layer
     spectra are stood in for by rows holding those values."""
     monkeypatch.setattr(model, "batch_forward", lambda chunk, params, cfg: (None, [chunk]))
-    monkeypatch.setattr(linalg, "spectrum", lambda s, near=None: s)
+    monkeypatch.setattr(linalg, "spectrum", lambda s: s)
     cfg = TrainConfig(t_window=5, d_model=2, heads=1)
 
     def rule(fourth, fifth):

@@ -252,6 +252,7 @@ class TestScoreCommand:
         assert main([command, "--config", str(cfg)]) == 4
         assert capsys.readouterr().err == (
             "numeric failure: non-finite reconstruction residual of series x1 at timestep 0\n")
+        assert not (tmp_path / {"score": "scored", "localize": "localized"}[command]).exists()
 
 
 class TestCheckpointDecoding:
@@ -782,6 +783,9 @@ BOUNDARY_CASES = {
     "unknown_key": ("train", _TRAIN + "not_a_key = 7\n", 2, "config error: unknown keys"),
     "missing_data_file": ("train", "[train]\ndata = {out}.csv\nout = {out}\n", 3,
                           "data error: missing input file"),
+    "score_data_is_directory": ("score", "[score]\ncheckpoint = {file}\ndata = {dir}\n"
+                                "out = {out}\n", 3,
+                                "data error: {dir} is a directory, not a file\n"),
     "simulate_sigma1_negative": ("simulate", _SIM + "sigma1 = -1\n", 2,
                                  "config error: sigma1 must be"),
     "simulate_n_negative": ("simulate", _SIM + "n = -5\n", 2, "config error: n must be"),
@@ -803,6 +807,9 @@ BOUNDARY_CASES = {
                            "config error: t_window must be >= 1\n"),
     "eval_horizon_zero": ("eval", _EVAL + "horizon = 0\n", 2,
                           "config error: horizon must be >= 1\n"),
+    "eval_scores_without_column": ("eval", "[eval]\nscores = {data}\ndata = {data}\n"
+                                   "out = {out}\n", 3, "data error: {data}: expected a scores "
+                                   "CSV with an anomaly_score column\n"),
     "eval_p_percents_empty": ("eval", _EVAL + "las = {file}\nloc_truth = {file}\n"
                               "p_percents = ,\n", 2, "config error: p_percents has no entries\n"),
     "resolved_config_unwritable": ("train", "[train]\ndata = {data}\nout = {ini_dir}\n", 2,
@@ -827,14 +834,15 @@ BOUNDARY_CASES = {
 def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     """Each failure at the CLI boundary exits with its documented code
     (2 config, 3 data, 4 numeric) and one stderr line, never a traceback
-    and no warning, which would print lines of its own.  A config error
-    writes no output."""
+    and no warning, which would print lines of its own.  A config or data
+    error writes no output."""
     command, text, code, start = BOUNDARY_CASES[case]
     paths = {"data": tmp_path / "data.csv", "rows30": tmp_path / "rows30.csv",
              "latin1": tmp_path / "latin1.csv", "huge": tmp_path / "huge.csv",
              "long_cell": tmp_path / "long_cell.csv", "file": tmp_path / "file",
              "out": tmp_path / "out", "ini_dir": tmp_path / "ini_dir",
-             "model_dir": tmp_path / "model_dir"}
+             "model_dir": tmp_path / "model_dir", "dir": tmp_path / "dir"}
+    paths["dir"].mkdir()
     (paths["ini_dir"] / "resolved_config.ini").mkdir(parents=True)
     (paths["model_dir"] / "model.alora").mkdir(parents=True)
     paths["data"].write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
@@ -858,5 +866,5 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.out + captured.err
     assert [str(w.message) for w in caught] == []
-    if code == 2:
+    if code in (2, 3):
         assert not paths["out"].exists()
