@@ -39,7 +39,7 @@ for config, reports in results:
 print(f"20 configurations x 2 modes, worst relative error {worst:.3e}")
 print("sample lines:")
 for config, reports in results[:3]:
-    print(f"  {config.describe()} {reports['skip'].line()}")
+    print(f"  {star_verify.describe(config)} {reports['skip'].line()}")
 
 print("\n=== a nonlinearity voids the identity ===")
 report = star_verify.verify_unrolled(params, x, skip=True, activation="gelu")

@@ -9,7 +9,6 @@ from .embedding import (
     PairSelection,
     EmbeddingKernels,
     select_pairs,
-    init_kernels,
 )
 from .attention import AttentionLayerParams
 from .model import (

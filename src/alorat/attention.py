@@ -17,6 +17,7 @@ from . import autograd as ag, linalg
 
 __all__ = [
     "AttentionLayerParams",
+    "layer_shapes",
     "init_layer_params",
     "forward_t",
     "effective_value_map",
@@ -41,11 +42,9 @@ class AttentionLayerParams:
         h, dm, dh = self.w_q.shape
         if h * dh != dm:
             raise ValueError(f"head count {h} must divide d_model {dm}")
-        for name in ("w_k", "w_v"):
-            if getattr(self, name).shape != (h, dm, dh):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {(h, dm, dh)}")
-        if self.w_proj.shape != (dm, dm):
-            raise ValueError(f"w_proj shape {self.w_proj.shape} != {(dm, dm)}")
+        for name, shape in layer_shapes(dm, h):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
 
     @property
     def heads(self) -> int:
@@ -56,19 +55,18 @@ class AttentionLayerParams:
         return self.w_q.shape[1]
 
 
+def layer_shapes(d_model: int, heads: int) -> list[tuple[str, tuple[int, ...]]]:
+    """A layer's arrays as (field name, shape) pairs, in field order."""
+    per_head = (heads, d_model, d_model // heads)
+    return [("w_q", per_head), ("w_k", per_head), ("w_v", per_head), ("w_proj", (d_model, d_model))]
+
+
 def init_layer_params(d_model: int, heads: int, rng: np.random.Generator) -> AttentionLayerParams:
-    dh = d_model // heads
+    """Each array of :func:`layer_shapes` in order, uniform in
+    +-1/sqrt(d_model)."""
     bound = 1.0 / np.sqrt(d_model)
-
-    def draw(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    return AttentionLayerParams(
-        w_q=draw(heads, d_model, dh),
-        w_k=draw(heads, d_model, dh),
-        w_v=draw(heads, d_model, dh),
-        w_proj=draw(d_model, d_model),
-    )
+    return AttentionLayerParams(**{name: rng.uniform(-bound, bound, size=shape)
+                                   for name, shape in layer_shapes(d_model, heads)})
 
 
 def effective_value_map(params: AttentionLayerParams) -> np.ndarray:

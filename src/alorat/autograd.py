@@ -39,15 +39,16 @@ def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
 
 
+# ADAM's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """ADAM over a list of float64 parameter arrays, updated in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
@@ -55,11 +56,11 @@ class Adam:
     def step(self, grads: list[np.ndarray]):
         """One update from the gradients of ``params``, in their order."""
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)

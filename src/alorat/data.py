@@ -120,14 +120,10 @@ class TimeSeriesFrame:
 @dataclass(frozen=True)
 class NormStats:
     """Per-series mean/std fitted on training data; zero-std series are
-    flagged and only centered."""
+    only centered."""
 
     mean: np.ndarray
     std: np.ndarray
-
-    @property
-    def constant(self) -> np.ndarray:
-        return self.std == 0.0
 
 
 # -- CSV tables ------------------------------------------------------------------

@@ -20,7 +20,6 @@ __all__ = [
     "PairSelection",
     "EmbeddingKernels",
     "select_pairs",
-    "init_kernels",
     "pair_conv",
 ]
 
@@ -129,21 +128,6 @@ def select_pairs(train, k: int, method: str = "spearman") -> PairSelection:
     pairs = tuple((i, j) for _, i, j in kept)
     scores = np.array([-neg for neg, _, _ in kept])
     return PairSelection(pairs=pairs, scores=scores)
-
-
-def init_kernels(
-    selection: PairSelection,
-    n_series: int,
-    d_model: int,
-    m: int,
-    rng: np.random.Generator,
-) -> EmbeddingKernels:
-    """Assign ranked pairs to channels (:meth:`PairSelection.channels`) and
-    draw fan-in-scaled uniform initial weights."""
-    pair_arr = selection.channels(d_model)
-    bound = 1.0 / np.sqrt(2.0 * m)
-    weights = rng.uniform(-bound, bound, size=(d_model, 2, m))
-    return EmbeddingKernels(n_series=n_series, pairs=pair_arr, weights=weights)
 
 
 def pair_conv(x: np.ndarray, weights: np.ndarray, pairs: np.ndarray):

@@ -353,7 +353,7 @@ def cmd_star_check(resolved: dict) -> int:
     lines, all_pass = [], True
     for config, reports in results:
         for mode in ("skip", "no_skip"):
-            lines.append(f"{config.describe()} {reports[mode].line()}")
+            lines.append(f"{star_verify.describe(config)} {reports[mode].line()}")
             all_pass = all_pass and reports[mode].passed is not False
     lines.append(f"aggregate={'PASS' if all_pass else 'FAIL'} configs={len(results)}")
     print("\n".join(lines))

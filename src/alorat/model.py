@@ -27,6 +27,8 @@ __all__ = [
     "ModelParams",
     "ScoreSeries",
     "TrainResult",
+    "param_layout",
+    "attention_mask",
     "init_params",
     "batch_forward",
     "total_loss",
@@ -122,7 +124,15 @@ class Thresholds:
     h1: float
 
 
-_LAYER_ARRAYS = ("w_q", "w_k", "w_v", "w_proj")
+def param_layout(cfg: TrainConfig, d_in: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter array of a ``cfg`` model on ``d_in`` series as (group
+    name, shape) pairs, in :meth:`ModelParams.arrays` order."""
+    return ([("kernels", (cfg.d_model, 2, cfg.kernel_size))]
+            + attention.layer_shapes(cfg.d_model, cfg.heads) * cfg.layers
+            + [("w_out", (cfg.d_model, d_in))])
+
+
+_LAYER_ARRAYS = tuple(name for name, _ in attention.layer_shapes(1, 1))
 
 
 @dataclass
@@ -134,13 +144,9 @@ class ModelParams:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValueError("need at least one attention layer")
-        d_model = self.kernels.d_model
-        if self.w_out.shape[0] != d_model:
-            raise ValueError(f"w_out rows {self.w_out.shape[0]} != d_model {d_model}")
-
-    @property
-    def d_model(self) -> int:
-        return self.kernels.d_model
+        want = (self.kernels.d_model, self.d_in)
+        if self.w_out.shape != want:
+            raise ValueError(f"w_out shape {self.w_out.shape} != (d_model, d) {want}")
 
     @property
     def d_in(self) -> int:
@@ -224,6 +230,11 @@ def _recon_error(z: np.ndarray, w_out: np.ndarray, x: np.ndarray):
     return np.sum(diff**2), backward
 
 
+def attention_mask(cfg: TrainConfig) -> np.ndarray | None:
+    """The additive attention mask that ``cfg.mask`` names, or None."""
+    return linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
+
+
 def _objective(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
     """The training objective of a (B, T, d) batch: over B, the squared
     reconstruction error plus lambda times every layer's Geman penalty.
@@ -234,7 +245,7 @@ def _objective(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
     embedding; it returns the C-contiguous gradients of
     :meth:`ModelParams.arrays`, in that order.  The backward-free form of
     the same sum is :func:`total_loss`."""
-    mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
+    mask = attention_mask(cfg)
     z, embed_back = embedding.pair_conv(x, params.kernels.weights, params.kernels.pairs)
     layers = []  # (backward, penalty, penalty gradient) per layer
     for p in params.layers:
@@ -270,7 +281,7 @@ def batch_forward(x: np.ndarray, params: ModelParams, cfg: TrainConfig):
             f"window stack shape {x.shape} incompatible with "
             f"(T={cfg.t_window}, d={params.d_in})"
         )
-    mask = linalg.causal_mask(cfg.t_window) if cfg.mask == "causal" else None
+    mask = attention_mask(cfg)
     z = embedding.pair_conv(x, params.kernels.weights, params.kernels.pairs)[0]
     s_layers = []
     for p in params.layers:
@@ -292,17 +303,17 @@ def total_loss(batch: np.ndarray, params: ModelParams, cfg: TrainConfig) -> floa
 
 
 def init_params(train, cfg: TrainConfig, rng: np.random.Generator):
-    """Pair selection on the training frame (or its values) plus seeded
-    parameter init."""
+    """Pair selection on the training frame (or its values), the ranked
+    pairs cycled over the channels, and every array of :func:`param_layout`
+    drawn from ``rng`` in order, uniform in +-1/sqrt(fan-in): the fan-in is
+    2 * kernel_size for the kernels and d_model for every other array."""
     selection = embedding.select_pairs(train, cfg.k_pairs, cfg.pair_method)
     d = np.shape(getattr(train, "values", train))[1]
-    kernels = embedding.init_kernels(
-        selection, n_series=d, d_model=cfg.d_model, m=cfg.kernel_size, rng=rng
-    )
-    layers = [attention.init_layer_params(cfg.d_model, cfg.heads, rng) for _ in range(cfg.layers)]
-    bound = 1.0 / np.sqrt(cfg.d_model)
-    w_out = rng.uniform(-bound, bound, size=(cfg.d_model, d))
-    params = ModelParams(kernels=kernels, layers=layers, w_out=w_out)
+    arrays = []
+    for name, shape in param_layout(cfg, d):
+        bound = 1.0 / np.sqrt(2 * cfg.kernel_size if name == "kernels" else cfg.d_model)
+        arrays.append(rng.uniform(-bound, bound, size=shape))
+    params = ModelParams.from_arrays(d, selection.channels(cfg.d_model), arrays)
     return params, selection
 
 
@@ -573,21 +584,16 @@ def load_checkpoint(path):
     # file holds fails here, before any array is allocated.
     offset = 0
 
-    def view(dtype, shape):
+    def view(dtype, *shape):
         nonlocal offset
         arr = np.frombuffer(body, dtype, math.prod(shape), offset).reshape(shape)
         offset += arr.nbytes
         return arr
 
-    dm, dh = cfg.d_model, cfg.d_model // cfg.heads
-    layer_shapes = [(cfg.heads, dm, dh)] * 3 + [(dm, dm)]
     try:
-        pairs = view("<i8", (dm, 2))
-        blocks = [view("<f8", (dm, 2, cfg.kernel_size))]
-        for _ in range(cfg.layers):
-            blocks += [view("<f8", shape) for shape in layer_shapes]
-        blocks.append(view("<f8", (dm, d_in)))
-        stats = [view("<f8", (d_in,)) for _ in range(2 * has_stats)]
+        pairs = view("<i8", cfg.d_model, 2)
+        blocks = [view("<f8", *shape) for _, shape in param_layout(cfg, d_in)]
+        stats = [view("<f8", d_in) for _ in range(2 * has_stats)]
     except ValueError:
         raise DataError(f"{path}: truncated checkpoint") from None
     if offset != len(body):

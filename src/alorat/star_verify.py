@@ -12,6 +12,9 @@ over per-head attention/value pairs.
 
 The regrouping check confirms that a linear map applied after the latent
 stage folds into the value-side weights (b~ = b @ w) entrywise.
+
+The seeded grid is a list of :class:`alorat.model.TrainConfig`, checked by
+the same limits as a training config.
 """
 
 from __future__ import annotations
@@ -21,17 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, linalg
+from . import attention
+from .model import TrainConfig, attention_mask
 
 __all__ = [
     "VerificationReport",
-    "GridConfig",
     "unroll_no_skip",
     "unroll_skip",
     "harvest_layers",
     "verify_unrolled",
     "verify_ffn_regroup",
     "build_grid",
+    "describe",
     "run_config",
     "run_grid",
 ]
@@ -191,23 +195,7 @@ def verify_ffn_regroup(b, w_ffn, tolerance: float = 1e-12) -> VerificationReport
 # -- seeded verification grid -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    layers: int
-    t_window: int
-    d_model: int
-    heads: int
-    mask: str
-    seed: int
-
-    def describe(self) -> str:
-        return (
-            f"L={self.layers} T={self.t_window} d_model={self.d_model} "
-            f"H={self.heads} mask={self.mask} seed={self.seed}"
-        )
-
-
-def build_grid(n: int = 20, base_seed: int = 0) -> list[GridConfig]:
+def build_grid(n: int = 20, base_seed: int = 0) -> list[TrainConfig]:
     """Deterministic spread over L in {1,2,3}, T in {4,8,16}, d_model in
     {2,4,8}, H in {1,2}, mask in {none, causal}."""
     layer_opts = (1, 2, 3)
@@ -216,7 +204,7 @@ def build_grid(n: int = 20, base_seed: int = 0) -> list[GridConfig]:
     head_opts = (1, 2)
     mask_opts = ("none", "causal")
     return [
-        GridConfig(
+        TrainConfig(
             layers=layer_opts[i % 3],
             t_window=t_opts[(i // 3) % 3],
             d_model=dm_opts[(i // 9) % 3],
@@ -228,14 +216,20 @@ def build_grid(n: int = 20, base_seed: int = 0) -> list[GridConfig]:
     ]
 
 
-def run_config(config: GridConfig, tolerance: float = DEFAULT_TOLERANCE):
+def describe(config: TrainConfig) -> str:
+    """A grid point's label in the star-check report."""
+    return (f"L={config.layers} T={config.t_window} d_model={config.d_model} "
+            f"H={config.heads} mask={config.mask} seed={config.seed}")
+
+
+def run_config(config: TrainConfig, tolerance: float = DEFAULT_TOLERANCE):
     """Random model for one grid point; returns {"skip": report,
     "no_skip": report}."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x_embedded = rng.normal(size=(config.t_window, config.d_model))
     params = [attention.init_layer_params(config.d_model, config.heads, rng)
               for _ in range(config.layers)]
-    mask = linalg.causal_mask(config.t_window) if config.mask == "causal" else None
+    mask = attention_mask(config)
     return {
         "skip": verify_unrolled(params, x_embedded, skip=True, mask=mask, tolerance=tolerance),
         "no_skip": verify_unrolled(params, x_embedded, skip=False, mask=mask, tolerance=tolerance),

@@ -35,7 +35,7 @@ def test_criterion_1_star_equivalence():
     for config, reports in star_verify.run_grid(20, base_seed=0, tolerance=1e-6):
         for mode in ("skip", "no_skip"):
             rep = reports[mode]
-            assert rep.passed, f"{config.describe()} {rep.line()}"
+            assert rep.passed, f"{star_verify.describe(config)} {rep.line()}"
             worst = max(worst, rep.max_rel_error)
     elapsed = time.time() - start
     assert elapsed <= 10.0
@@ -321,7 +321,7 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def _brute_force_weights(params, skip):
-    d_model = params.d_model
+    d_model = params.w_out.shape[0]
     d = params.d_in
     maps = [attention.effective_value_map(p) for p in params.layers]
     b = np.eye(d_model)

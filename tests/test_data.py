@@ -133,14 +133,14 @@ class TestNormalize:
         normed, stats = data.normalize(frame)
         np.testing.assert_allclose(normed.values.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(normed.values.std(axis=0), 1.0, atol=1e-12)
-        assert not stats.constant.any()
+        assert not (stats.std == 0).any()
 
     def test_constant_series_centered_and_flagged(self):
         values = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
         frame = TimeSeriesFrame(values=values, names=("const", "ramp"))
         normed, stats = data.normalize(frame)
         np.testing.assert_array_equal(normed.values[:, 0], np.zeros(10))
-        assert stats.constant.tolist() == [True, False]
+        assert (stats.std == 0).tolist() == [True, False]
 
     def test_std_overflow_names_the_series(self):
         """Finite values whose std overflows: before, std was inf and the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alorat import data, embedding
+from alorat import data, embedding, model
 from alorat.embedding import EmbeddingKernels, PairSelection
 
 
@@ -110,25 +110,31 @@ class TestSelectPairs:
         np.testing.assert_array_equal(table[:, 2], sel.scores)
 
 
+def seeded_kernels(rng, d, d_model, m):
+    """Channels of the ranked pairs of a random (30, d) frame, with weights
+    drawn from ``rng``."""
+    sel = embedding.select_pairs(rng.normal(size=(30, d)), d * (d - 1) // 2)
+    weights = rng.uniform(-1.0, 1.0, size=(d_model, 2, m))
+    return EmbeddingKernels(n_series=d, pairs=sel.channels(d_model), weights=weights)
+
+
 class TestKernels:
     def test_parameter_count_independent_of_d(self):
         rng = np.random.default_rng(7)
+        cfg = model.TrainConfig(d_model=12, heads=4, kernel_size=3)
         for d in (4, 16, 64):
-            sel = embedding.select_pairs(rng.normal(size=(30, d)), 512)
-            k = embedding.init_kernels(sel, n_series=d, d_model=12, m=3, rng=rng)
+            k = model.init_params(rng.normal(size=(30, d)), cfg, rng)[0].kernels
             assert k.weights.size == 2 * 3 * 12
 
     def test_channel_cycling(self):
         sel = PairSelection(pairs=((0, 1), (1, 2)), scores=np.array([0.9, 0.5]))
-        k = embedding.init_kernels(sel, n_series=3, d_model=5, m=3, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(k.pairs, [[0, 1], [1, 2], [0, 1], [1, 2], [0, 1]])
+        np.testing.assert_array_equal(sel.channels(5), [[0, 1], [1, 2], [0, 1], [1, 2], [0, 1]])
 
     def test_truncates_to_d_model(self):
         sel = PairSelection(
             pairs=((0, 1), (0, 2), (1, 2)), scores=np.array([0.9, 0.5, 0.1])
         )
-        k = embedding.init_kernels(sel, n_series=3, d_model=2, m=3, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(k.pairs, [[0, 1], [0, 2]])
+        np.testing.assert_array_equal(sel.channels(2), [[0, 1], [0, 2]])
 
     def test_validation(self):
         with pytest.raises(ValueError):  # even kernel size
@@ -185,8 +191,7 @@ class TestEmbed:
 
     def test_against_dense_conv_oracle(self):
         rng = np.random.default_rng(9)
-        sel = embedding.select_pairs(rng.normal(size=(30, 4)), 6)
-        kernels = embedding.init_kernels(sel, n_series=4, d_model=5, m=3, rng=rng)
+        kernels = seeded_kernels(rng, d=4, d_model=5, m=3)
         window = rng.normal(size=(12, 4))
         np.testing.assert_allclose(
             conv(window, kernels), dense_conv_oracle(window, kernels), atol=1e-12
@@ -194,8 +199,7 @@ class TestEmbed:
 
     def test_wider_kernel_against_oracle(self):
         rng = np.random.default_rng(10)
-        sel = embedding.select_pairs(rng.normal(size=(30, 3)), 3)
-        kernels = embedding.init_kernels(sel, n_series=3, d_model=4, m=5, rng=rng)
+        kernels = seeded_kernels(rng, d=3, d_model=4, m=5)
         window = rng.normal(size=(9, 3))
         np.testing.assert_allclose(
             conv(window, kernels), dense_conv_oracle(window, kernels), atol=1e-12
@@ -203,8 +207,7 @@ class TestEmbed:
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
-        sel = embedding.select_pairs(rng.normal(size=(30, 3)), 3)
-        kernels = embedding.init_kernels(sel, n_series=3, d_model=4, m=3, rng=rng)
+        kernels = seeded_kernels(rng, d=3, d_model=4, m=3)
         x = rng.normal(size=(8, 3))
         y = rng.normal(size=(8, 3))
         lhs = conv(2.5 * x - 1.5 * y, kernels)

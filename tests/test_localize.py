@@ -51,8 +51,8 @@ class TestComputeE:
 
     def test_against_double_sum_oracle(self):
         rng = np.random.default_rng(3)
-        sel = embedding.select_pairs(rng.normal(size=(40, 4)), 6)
-        kernels = embedding.init_kernels(sel, n_series=4, d_model=5, m=3, rng=rng)
+        cfg = TrainConfig(d_model=5, heads=1, kernel_size=3, k_pairs=6)
+        kernels = model.init_params(rng.normal(size=(40, 4)), cfg, rng)[0].kernels
         b = rng.normal(size=(5, 5))
         e = localize.compute_e(kernels, b)
 

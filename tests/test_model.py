@@ -45,22 +45,17 @@ def forward_one(window, params, cfg):
 
 
 def zero_params(cfg, d):
-    kernels = EmbeddingKernels(
-        n_series=d,
-        pairs=np.tile([0, 1], (cfg.d_model, 1)),
-        weights=np.zeros((cfg.d_model, 2, cfg.kernel_size)),
-    )
-    dh = cfg.d_model // cfg.heads
-    layers = [
-        AttentionLayerParams(
-            w_q=np.zeros((cfg.heads, cfg.d_model, dh)),
-            w_k=np.zeros((cfg.heads, cfg.d_model, dh)),
-            w_v=np.zeros((cfg.heads, cfg.d_model, dh)),
-            w_proj=np.zeros((cfg.d_model, cfg.d_model)),
-        )
-        for _ in range(cfg.layers)
-    ]
-    return ModelParams(kernels=kernels, layers=layers, w_out=np.zeros((cfg.d_model, d)))
+    zeros = [np.zeros(shape) for _, shape in model.param_layout(cfg, d)]
+    return ModelParams.from_arrays(d, np.tile([0, 1], (cfg.d_model, 1)), zeros)
+
+
+class TestModelParams:
+    def test_w_out_columns_must_match_the_series(self):
+        """Before the check, a (2, 3) w_out on 4 series was accepted, then
+        failed in scoring and saved a checkpoint that did not load."""
+        params = zero_params(tiny_cfg(d_model=2, heads=1), 4)
+        with pytest.raises(ValueError, match=r"w_out shape \(2, 3\)"):
+            ModelParams(kernels=params.kernels, layers=params.layers, w_out=np.zeros((2, 3)))
 
 
 class TestForward:
@@ -653,6 +648,35 @@ class TestCheckpoint:
         crc = b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered))
         path.write_bytes(covered + crc + b"\n\n" + body)
         with pytest.raises(DataError, match="series index >= d=3"):
+            model.load_checkpoint(path)
+
+    def test_param_layout(self, tmp_path):
+        """The layout lists init_params' arrays in order, and a checkpoint
+        body is exactly the pairs, those arrays and the norm stats."""
+        d = 3
+        values = np.random.default_rng(30).normal(size=(50, d))
+        stats = data.NormStats(mean=values.mean(axis=0), std=values.std(axis=0))
+        path = tmp_path / "m.alora"
+        for cfg in (tiny_cfg(), tiny_cfg(layers=3, heads=4, kernel_size=5), tiny_cfg(layers=1)):
+            params, _ = model.init_params(values, cfg, np.random.default_rng(31))
+            layout = model.param_layout(cfg, d)
+            assert [(name, a.shape) for name, a in params.arrays()] == layout
+            model.save_checkpoint(path, params, cfg, h1=0.5, norm_stats=stats)
+            body = path.read_bytes().partition(b"\n\n")[2]
+            sizes = sum(np.prod(shape) for _, shape in layout)
+            assert len(body) == 8 * (2 * cfg.d_model + sizes + 2 * d)
+
+    def test_header_claiming_one_more_layer_is_data_error(self, tmp_path):
+        cfg = tiny_cfg()
+        values = np.random.default_rng(32).normal(size=(50, 3))
+        params, _ = model.init_params(values, cfg, np.random.default_rng(33))
+        path = tmp_path / "m.alora"
+        model.save_checkpoint(path, params, cfg, h1=0.5)
+        head, _, body = path.read_bytes().partition(b"\n\n")
+        covered = head.rpartition(b"\n")[0].replace(b"\nlayers=2\n", b"\nlayers=3\n") + b"\n"
+        crc = b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered))
+        path.write_bytes(covered + crc + b"\n\n" + body)
+        with pytest.raises(DataError, match="truncated checkpoint"):
             model.load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from test_attention import layer_forward
 
 from alorat import attention, linalg, star_verify
+from alorat.model import TrainConfig
 
 
 def make_stack(d_model, heads, layers, seed):
@@ -149,10 +150,17 @@ class TestGrid:
         assert {c.mask for c in grid} == {"none", "causal"}
         assert len({c.seed for c in grid}) == 20
 
+    def test_grid_points_are_checked_train_configs(self):
+        grid = star_verify.build_grid(2, base_seed=5)
+        assert all(isinstance(c, TrainConfig) for c in grid)
+        assert star_verify.describe(grid[1]) == "L=2 T=4 d_model=2 H=2 mask=none seed=6"
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            star_verify.build_grid(1, base_seed=-1)
+
     def test_run_grid_passes(self):
         for config, reports in star_verify.run_grid(6, base_seed=3):
-            assert reports["skip"].passed, config.describe()
-            assert reports["no_skip"].passed, config.describe()
+            assert reports["skip"].passed, star_verify.describe(config)
+            assert reports["no_skip"].passed, star_verify.describe(config)
 
     def test_report_line_format(self):
         report = star_verify.run_config(star_verify.build_grid(1)[0])["skip"]
