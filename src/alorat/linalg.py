@@ -4,13 +4,12 @@ Geman low-rank penalty with its closed-form subgradient.
 
 Everything here is pure and operates on float64 ``numpy`` arrays; the rest
 of the package is built on these primitives.  The only threads of the package
-live here: the CPU-bound pool that splits the Geman SVD, and the one helper
-thread of :func:`overlap` that takes inference chunks' spectra.
+live here: one unbound pool of ``_WORKERS - 1`` threads whose first worker is
+the caller, which takes the Geman SVD's slices and :func:`overlap`'s spectra.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np
@@ -59,32 +58,35 @@ def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.nda
     return loss, (u[..., :, r:] * weights[..., None, :]) @ vh[..., r:, :]
 
 
-# Usable CPUs ([0] where they cannot be read); the fewest matrices worth a thread.
-_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-_WORKERS = len(_CPUS)
+# Usable CPUs (1 where they cannot be read); the fewest matrices worth a thread.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _MIN_PART = 16
 _pool = None
-_helper = None
-if hasattr(os, "register_at_fork"):  # a forked child has none of their threads
-    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _helper=None))
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
-def _stack_map(fn, s: np.ndarray, **kwargs):
-    """``fn(s, **kwargs)`` for a numpy call that factors each matrix of a
-    (n, T, T) stack on its own, run as up to ``_WORKERS`` slices of ``_MIN_PART``
-    or more matrices on pool threads bound one per CPU; bit-identical to one call."""
+def _submit(fn, arg):
+    """``fn(arg)`` queued on the pool, built on first use with ``_WORKERS - 1``
+    threads: the caller is its first worker and runs work of its own."""
     global _pool
-    parts = min(_WORKERS, s.shape[0] // _MIN_PART) if s.ndim == 3 else 1
-    if parts < 2:
-        return fn(s, **kwargs)
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor  # deferred: ~7 ms to import
-        # Unbound, the threads were seen to share the caller's CPU while another idled.
-        cpus = itertools.cycle(_CPUS)
-        _pool = ThreadPoolExecutor(
-            _WORKERS, initializer=lambda: os.sched_setaffinity(0, {next(cpus)}))
-    futures = [_pool.submit(fn, part, **kwargs) for part in np.array_split(s, parts)]
-    outs = [f.result() for f in futures]
+        _pool = ThreadPoolExecutor(_WORKERS - 1)
+    return _pool.submit(fn, arg)
+
+
+def _stack_map(fn, s: np.ndarray):
+    """``fn(s)`` for a numpy call that factors each matrix of a (n, T, T)
+    stack on its own, run as up to ``_WORKERS`` slices of ``_MIN_PART`` or
+    more matrices: the caller takes the first, the pool the others; results
+    are gathered in order, so it is bit-identical to one call."""
+    parts = min(_WORKERS, s.shape[0] // _MIN_PART) if s.ndim == 3 else 1
+    if parts < 2:
+        return fn(s)
+    first, *rest = np.array_split(s, parts)
+    futures = [_submit(fn, part) for part in rest]
+    outs = [fn(first)] + [f.result() for f in futures]
     if isinstance(outs[0], tuple):
         return tuple(map(np.concatenate, zip(*outs)))
     return np.concatenate(outs)
@@ -92,33 +94,28 @@ def _stack_map(fn, s: np.ndarray, **kwargs):
 
 def overlap(produce, consume, items) -> list:
     """``[consume(produce(x)) for x in items]``, with ``consume`` of item k
-    run on one helper thread while the caller's thread runs ``produce`` of
-    item k+1.  At most one ``consume`` is in flight, results come back in
-    item order, and an exception from either side reaches the caller only
-    after the helper is idle.  With one usable CPU everything runs inline.
+    queued on the pool while the caller's thread runs ``produce`` of item
+    k+1.  At most one ``consume`` is in flight, results come back in item
+    order, and an exception from either side reaches the caller only after
+    the last queued ``consume`` has finished.  With one usable CPU everything
+    runs inline.
 
-    The helper is not bound to a CPU: the pool's threads are, one of them to
-    the caller's CPU, where ``consume`` would wait on ``produce``.
     ``consume`` must call nothing traced, nothing on the pool and not
     :func:`overlap`, so every traced call stays on the caller's thread."""
-    global _helper
     if _WORKERS < 2:
         return [consume(produce(x)) for x in items]
-    if _helper is None:
-        from concurrent.futures import ThreadPoolExecutor  # deferred: ~7 ms to import
-        _helper = ThreadPoolExecutor(1)
     outs, pending = [], None
     try:
         for x in items:
             y = produce(x)
             if pending is not None:
                 outs.append(pending.result())
-            pending = _helper.submit(consume, y)
+            pending = _submit(consume, y)
         if pending is not None:
             outs.append(pending.result())
     finally:
         if pending is not None:
-            pending.exception()  # waits for the helper without raising
+            pending.exception()  # waits for that consume without raising
     return outs
 
 

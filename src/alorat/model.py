@@ -455,12 +455,12 @@ def score_frame(
     frame: TimeSeriesFrame, params: ModelParams, cfg: TrainConfig, h1: float | None
 ) -> ScoreSeries:
     """Score every timestep: each t is the last row of its window; the
-    first T-1 timesteps reuse the first window.  Windows
-    are forwarded chunk by chunk from a view of ``frame``, so memory is the
-    O(N·d) outputs plus two chunks: the spectrum of one chunk is taken by
-    :func:`linalg.overlap` while the next is forwarded.  With ``h1=None`` no
-    spectrum is taken and only the residuals are filled in (the anomaly and
-    rank scores are None)."""
+    first T-1 timesteps reuse the first window.  Windows are forwarded
+    chunk by chunk from a view of ``frame``, so memory is the O(N·d)
+    outputs plus two chunks: :func:`linalg.overlap` takes one chunk's
+    spectrum on the pool while the caller forwards the next.  With
+    ``h1=None`` no spectrum is taken and only the residuals are filled in
+    (the anomaly and rank scores are None)."""
     values = frame.values
     n, d = values.shape
     t_len = cfg.t_window

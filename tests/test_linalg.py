@@ -96,15 +96,19 @@ class TestGemanLoss:
 
 class TestStackSplit:
     """geman_batch's SVDs run on contiguous slices of the stack, one per
-    usable CPU; every split gives the single-call result bit for bit."""
+    usable CPU: the caller takes the first and the pool the others; every
+    split gives the single-call result bit for bit."""
 
     @staticmethod
     def _count_svd_calls(monkeypatch):
+        """One ``(slice address, on the caller's thread)`` pair per SVD call;
+        sorted, the pairs follow the slices' order in the stack."""
         calls = []
         svd = np.linalg.svd
 
         def counted(a, *args, **kwargs):
-            calls.append(threading.current_thread() is threading.main_thread())
+            on_caller = threading.current_thread() is threading.main_thread()
+            calls.append((a.__array_interface__["data"][0], on_caller))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
@@ -128,7 +132,8 @@ class TestStackSplit:
         assert grad.tobytes() == grad_one.tobytes()
         parts = max(1, min(workers, n // linalg._MIN_PART))
         assert len(calls) == 2 * parts
-        assert calls.count(True) == (2 if parts == 1 else 0)  # the pool runs every slice
+        on_caller = [caller for _, caller in calls]
+        assert on_caller.count(True) == 2  # the caller runs one slice of each call
 
     @pytest.mark.parametrize("grad", [True, False])
     def test_failure_in_last_slice_reaches_caller(self, monkeypatch, grad):
@@ -138,7 +143,7 @@ class TestStackSplit:
         s[-1, 0, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             linalg.geman_batch(s, 1, grad=grad)
-        assert calls == [False, False]  # both slices ran on the pool
+        assert [caller for _, caller in sorted(calls)] == [True, False]  # the last on the pool
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
@@ -159,8 +164,8 @@ class TestStackSplit:
 
 class TestOverlap:
     """``overlap(produce, consume, items)`` returns the inline list; with
-    two usable CPUs ``consume`` runs on one helper thread, one item at a
-    time, while the caller's thread runs every ``produce``."""
+    two usable CPUs ``consume`` runs on the pool, one item at a time, while
+    the caller's thread runs every ``produce``."""
 
     @staticmethod
     def _recording(log):
@@ -240,19 +245,37 @@ class TestOverlap:
         monkeypatch.setattr(linalg, "_WORKERS", 2)
         expected = [x * x for x in range(4)]
         assert linalg.overlap(lambda x: x, lambda y: y * y, range(4)) == expected
-        assert linalg._helper is not None  # the parent's helper exists from here on
+        assert linalg._pool is not None  # the parent's pool exists from here on
         pid = os.fork()
-        if pid == 0:  # the child exits 0 only if it starts a helper of its own
+        if pid == 0:  # the child exits 0 only if it starts a pool of its own
             code = 1
             try:
                 signal.alarm(20)
-                fresh = linalg._helper is None and linalg._pool is None
+                fresh = linalg._pool is None
                 result = linalg.overlap(lambda x: x, lambda y: y * y, range(4))
                 code = 0 if fresh and result == expected else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_caller_is_the_pools_first_worker(monkeypatch, workers):
+    """A split Geman SVD followed by an overlap run starts at most
+    ``_WORKERS - 1`` threads, and none with one usable CPU."""
+    monkeypatch.setattr(linalg, "_WORKERS", workers)
+    monkeypatch.setattr(linalg, "_pool", None)
+    before = set(threading.enumerate())
+    try:
+        s = np.random.default_rng(3).normal(size=(3 * linalg._MIN_PART, 16, 16))
+        linalg.geman_batch(s, 1)
+        assert linalg.overlap(lambda x: x, lambda y: y * y, range(4)) == [0, 1, 4, 9]
+        added = set(threading.enumerate()) - before
+    finally:
+        if linalg._pool is not None:
+            linalg._pool.shutdown()
+    assert len(added) <= workers - 1
 
 
 class TestSoftmaxRows:

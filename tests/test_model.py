@@ -327,7 +327,7 @@ class TestChunking:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_outputs_independent_of_helper_thread(self, monkeypatch):
-        """With two usable CPUs each chunk's spectrum runs on the helper of
+        """With two usable CPUs each chunk's spectrum runs on the pool of
         :func:`linalg.overlap`; h1 and every scoring array keep their bits."""
         cfg = tiny_cfg(max_epochs=2)
         frame = TimeSeriesFrame(values=np.random.default_rng(24).normal(size=(90, 3)),

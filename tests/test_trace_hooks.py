@@ -59,7 +59,7 @@ def test_layer_calls_go_through_traced_attributes():
 
 def test_traced_calls_stay_on_the_callers_thread(monkeypatch):
     """The tracer keeps one span stack and assumes one thread makes every
-    traced call.  With the chunks' spectra on the helper thread of
+    traced call.  With the chunks' spectra on the pool of
     `linalg.overlap`, self-times stay non-negative and every forward of the
     12 calibration and 12 scoring chunks is attributed to its pass."""
     monkeypatch.setattr(linalg, "_WORKERS", 2)
