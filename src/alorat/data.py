@@ -177,14 +177,15 @@ def _read_blocks(path):
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
-        first_line = 2
-        while rows := list(itertools.islice(reader, TABLE_CHUNK_ROWS)):
+        numbered = _numbered_rows(reader)
+        while chunk := list(itertools.islice(numbered, TABLE_CHUNK_ROWS)):
+            line_nos, rows = zip(*chunk)
             try:
                 block = np.array(rows, dtype=np.float64)
             except ValueError:
                 block = None
             if block is None or block.shape[1] != len(header):
-                for line_no, row in enumerate(rows, start=first_line):
+                for line_no, row in chunk:
                     if len(row) != len(header):
                         raise DataError(
                             f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
@@ -194,10 +195,17 @@ def _read_blocks(path):
                         raise DataError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
-                raise DataError(f"{path}:{first_line + int(np.argmin(finite))}: non-finite cell")
+                raise DataError(f"{path}:{line_nos[int(np.argmin(finite))]}: non-finite cell")
             blocks.append(block)
-            first_line += len(rows)
     return header, blocks
+
+
+def _numbered_rows(reader):
+    """Each row of ``reader`` with its first physical line (a quoted cell can span lines)."""
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
 
 
 def write_table(path, header, columns):
@@ -262,11 +270,12 @@ def save_loc_truth(truth: LocalizationTruth, path):
 
 def load_loc_truth(path) -> LocalizationTruth:
     """Read a :func:`save_loc_truth` CSV; every cell must be a non-negative
-    integer."""
+    integer that fits in int64 (below 2**63)."""
     header, cells = read_table(path)
     if header != TRUTH_HEADER:
         raise DataError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
-    bad = np.flatnonzero(((cells < 0) | (cells != np.floor(cells))).any(axis=1))
+    bad = np.flatnonzero(((cells < 0) | (cells >= 2.0**63) | (cells != np.floor(cells)))
+                         .any(axis=1))
     if bad.size:
         raise DataError(f"{path}:{bad[0] + 2}: cells must be non-negative integers")
     by_time: dict[int, set[int]] = {}

@@ -154,10 +154,13 @@ class TestReadTable:
          ("a,b\n1,2\n3,nan\n", "t.csv:3: non-finite cell"),
          ("a,b\n-Infinity,2\n", "t.csv:2: non-finite cell"),
          ("a,b\n1,2\n1e999,2\n", "t.csv:3: non-finite cell"),
+         ('a,b\n"1\n",2\n3,x\n', "t.csv:4: non-numeric cell"),
+         ('a,b\n"1\n",2\n3,nan\n', "t.csv:4: non-finite cell"),
          ("a,b\n", "t.csv: no rows"),
          ("", "t.csv: empty file")],
         ids=["short_row", "long_row", "blank_line", "non_numeric", "empty_cell", "hex",
-             "nan", "inf", "overflow", "header_only", "empty_file"],
+             "nan", "inf", "overflow", "after_quoted_newline", "non_finite_after_quoted_newline",
+             "header_only", "empty_file"],
     )
     def test_errors_name_the_line(self, tmp_path, body, where):
         (tmp_path / "t.csv").write_text(body)
@@ -263,7 +266,7 @@ class TestLocTruthReader:
         with pytest.raises(DataError, match="timestep,series_index"):
             data.load_loc_truth(tmp_path / "t.csv")
 
-    @pytest.mark.parametrize("row", ["3,1.5", "-1,0", "3,-2"])
+    @pytest.mark.parametrize("row", ["3,1.5", "-1,0", "3,-2", "1e300,0", "3,1e19"])
     def test_cells_are_non_negative_integers(self, tmp_path, row):
         (tmp_path / "t.csv").write_text(f"timestep,series_index\n0,0\n{row}\n")
         with pytest.raises(DataError, match=r"t\.csv:3:"):
