@@ -15,15 +15,6 @@ import numpy as np
 
 from . import autograd as ag, linalg
 
-__all__ = [
-    "AttentionLayerParams",
-    "layer_shapes",
-    "init_layer_params",
-    "forward_t",
-    "effective_value_map",
-    "per_head_value_maps",
-]
-
 ACTIVATIONS = ("identity", "gelu")
 
 

@@ -22,24 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = [
-    "DataError",
-    "LocalizationTruth",
-    "TimeSeriesFrame",
-    "NormStats",
-    "read_table",
-    "write_table",
-    "load_csv",
-    "save_csv",
-    "load_loc_truth",
-    "save_loc_truth",
-    "normalize",
-    "downsample_mean",
-    "windows",
-    "simulate_mean_shift",
-    "inject_anomaly",
-]
-
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst", "trend")
 TRUTH_HEADER = ["timestep", "series_index"]
 # Tables are converted between text and float64 this many rows at a time,
@@ -208,6 +190,14 @@ def _numbered_rows(reader):
         start = reader.line_num + 1
 
 
+def _line_of(path, row: int) -> int:
+    """The first physical line of :func:`read_table` row ``row`` of ``path``."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return next(itertools.islice(_numbered_rows(reader), row, None))[0]
+
+
 def write_table(path, header, columns):
     """Write a header row, then one row per index of the equal-length
     ``columns``, as ``csv.writer`` would.  Numbers are written with their
@@ -243,7 +233,8 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesFrame:
         labels = values[:, idx]
         bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
         if bad.size:
-            raise DataError(f"{path}:{bad[0] + 2}: label {labels[bad[0]]:g} is not 0 or 1")
+            raise DataError(f"{path}:{_line_of(path, bad[0])}: "
+                            f"label {labels[bad[0]]:g} is not 0 or 1")
         values = np.delete(values, idx, axis=1)
         del header[idx]
     return TimeSeriesFrame(values=values, names=tuple(header), labels=labels)
@@ -277,7 +268,7 @@ def load_loc_truth(path) -> LocalizationTruth:
     bad = np.flatnonzero(((cells < 0) | (cells >= 2.0**63) | (cells != np.floor(cells)))
                          .any(axis=1))
     if bad.size:
-        raise DataError(f"{path}:{bad[0] + 2}: cells must be non-negative integers")
+        raise DataError(f"{path}:{_line_of(path, bad[0])}: cells must be non-negative integers")
     by_time: dict[int, set[int]] = {}
     for t, i in cells.astype(np.int64).tolist():
         by_time.setdefault(t, set()).add(i)

@@ -16,13 +16,6 @@ import numpy as np
 
 from .data import DataError, write_table
 
-__all__ = [
-    "PairSelection",
-    "EmbeddingKernels",
-    "select_pairs",
-    "pair_conv",
-]
-
 
 @dataclass(frozen=True)
 class PairSelection:

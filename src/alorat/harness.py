@@ -29,8 +29,6 @@ from . import star_verify
 from .data import DataError
 from .model import NumericError, TrainConfig
 
-__all__ = ["main", "ConfigError"]
-
 
 class ConfigError(ValueError):
     """Bad, missing, or unknown configuration."""
@@ -188,15 +186,11 @@ def _load_model(resolved: dict):
     frame = data_mod.load_csv(data, resolved["label_column"])
     if frame.d != params.d_in:
         raise ConfigError(f"data has {frame.d} series, checkpoint expects {params.d_in}")
-    if stats is not None:
-        frame, _ = data_mod.normalize(frame, stats)
-    return params, cfg, h1, frame
+    return params, cfg, h1, data_mod.normalize(frame, stats)[0]
 
 
 def cmd_score(resolved: dict) -> int:
     params, cfg, h1, frame = _load_model(resolved)
-    if h1 is None:
-        raise ConfigError("checkpoint has no calibrated h1; re-run training")
     series = model_mod.score_frame(frame, params, cfg, h1)
     out = _prepare_out(resolved, "score")
     h2 = resolved["h2"]

@@ -14,8 +14,6 @@ import os
 
 import numpy as np
 
-__all__ = ["geman_batch", "spectrum"]
-
 
 def spectrum(s: np.ndarray) -> np.ndarray:
     """Singular values of every matrix of a ``(..., T, T)`` stack,

@@ -24,18 +24,6 @@ from . import attention
 from .data import write_table
 from .embedding import EmbeddingKernels
 
-__all__ = [
-    "ContributionWeights",
-    "compute_b",
-    "compute_e",
-    "compute_c",
-    "contribution_weights",
-    "las",
-    "rank_series",
-    "save_las_csv",
-    "save_matrix_csv",
-]
-
 EXACT_MODE = "exact"
 APPROX_MODE = "approximation (nonlinear path)"
 

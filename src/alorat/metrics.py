@@ -22,17 +22,6 @@ import numpy as np
 
 from .data import write_table
 
-__all__ = [
-    "EventSegment",
-    "events_from_labels",
-    "best_f1_sweep",
-    "f1_sweep_curve",
-    "affiliation_pr",
-    "hit_rate",
-    "ndcg",
-    "ips",
-]
-
 
 @dataclass(frozen=True, order=True)
 class EventSegment:

@@ -20,26 +20,6 @@ from . import attention, autograd as ag, embedding, linalg
 from .autograd import Tensor
 from .data import DataError, TimeSeriesFrame, NormStats, windows
 
-__all__ = [
-    "NumericError",
-    "TrainConfig",
-    "Thresholds",
-    "ModelParams",
-    "ScoreSeries",
-    "TrainResult",
-    "param_layout",
-    "attention_mask",
-    "init_params",
-    "batch_forward",
-    "total_loss",
-    "train",
-    "score_frame",
-    "save_checkpoint",
-    "load_checkpoint",
-    "parse_value",
-    "check_limit",
-]
-
 CHECKPOINT_MAGIC = "ALORA3"
 
 
@@ -515,31 +495,18 @@ def score_frame(
 _HEADER_EXTRAS = {"d_in": "int", "h1": "float", "norm_stats": "bool"}
 
 
-def save_checkpoint(
-    path,
-    params: ModelParams,
-    cfg: TrainConfig,
-    h1: float | None = None,
-    norm_stats: NormStats | None = None,
-):
+def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, h1: float,
+                    norm_stats: NormStats):
     """Checkpoint v3: an ``ALORA3`` line, ``key=value`` lines (the
-    TrainConfig fields in order, then d_in, h1 and norm_stats; an
-    uncalibrated h1 is written as nan), a ``crc32=`` line, a blank line,
-    then raw little-endian blocks: the (d_model, 2) channel pairs as int64,
-    the :meth:`ModelParams.arrays` in order, and the optional normalization
-    mean and std.  The CRC-32 (zlib, 8 hex digits) covers the header lines
-    before it and the blocks.  The header text is also written to
-    ``<path>.manifest.txt``."""
-    header = {
-        **asdict(cfg),
-        "d_in": params.d_in,
-        "h1": float("nan") if h1 is None else float(h1),
-        "norm_stats": norm_stats is not None,
-    }
+    TrainConfig fields in order, then d_in, h1 and ``norm_stats=True``), a
+    ``crc32=`` line, a blank line, then raw little-endian blocks: the
+    (d_model, 2) channel pairs as int64, the :meth:`ModelParams.arrays` in
+    order, and the normalization mean and std.  The CRC-32 (zlib, 8 hex
+    digits) covers the header lines before it and the blocks.  The header
+    text is also written to ``<path>.manifest.txt``."""
+    header = {**asdict(cfg), "d_in": params.d_in, "h1": float(h1), "norm_stats": True}
     text = CHECKPOINT_MAGIC + "\n" + "".join(f"{key}={value}\n" for key, value in header.items())
-    blocks = [a for _, a in params.arrays()]
-    if norm_stats is not None:
-        blocks += [norm_stats.mean, norm_stats.std]
+    blocks = [a for _, a in params.arrays()] + [norm_stats.mean, norm_stats.std]
     body = b"".join(
         [np.asarray(params.kernels.pairs, dtype="<i8").tobytes()]
         + [np.asarray(block, dtype="<f8").tobytes() for block in blocks]
@@ -553,7 +520,8 @@ def save_checkpoint(
 
 def load_checkpoint(path):
     """Returns (params, cfg, h1, norm_stats).  A file that is not a
-    complete v3 checkpoint raises :class:`DataError`."""
+    complete v3 checkpoint with a finite h1 and normalization stats raises
+    :class:`DataError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, sep, body = raw.partition(b"\n\n")
@@ -577,8 +545,12 @@ def load_checkpoint(path):
         cfg = TrainConfig(**values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if d_in < 2:
-        raise DataError(f"{path}: header has d_in={d_in}")
+    if d_in < 2 or not math.isfinite(h1) or not has_stats:
+        raise DataError(f"{path}: header has d_in={d_in}, h1={h1}, norm_stats={has_stats}")
+    # A layer count the body cannot hold fails before the layout lists it.
+    layer = attention.layer_shapes(cfg.d_model, cfg.heads)
+    if 8 * cfg.layers * sum(math.prod(shape) for _, shape in layer) > len(body):
+        raise DataError(f"{path}: truncated checkpoint")
 
     # Views into the file first: a header that claims more data than the
     # file holds fails here, before any array is allocated.
@@ -593,7 +565,7 @@ def load_checkpoint(path):
     try:
         pairs = view("<i8", cfg.d_model, 2)
         blocks = [view("<f8", *shape) for _, shape in param_layout(cfg, d_in)]
-        stats = [view("<f8", d_in) for _ in range(2 * has_stats)]
+        stats = view("<f8", 2, d_in)
     except ValueError:
         raise DataError(f"{path}: truncated checkpoint") from None
     if offset != len(body):
@@ -605,5 +577,4 @@ def load_checkpoint(path):
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    norm_stats = NormStats(*(s.astype(np.float64) for s in stats)) if has_stats else None
-    return params, cfg, None if math.isnan(h1) else h1, norm_stats
+    return params, cfg, h1, NormStats(*stats.astype(np.float64))

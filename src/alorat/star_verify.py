@@ -27,19 +27,6 @@ import numpy as np
 from . import attention
 from .model import TrainConfig, attention_mask
 
-__all__ = [
-    "VerificationReport",
-    "unroll_no_skip",
-    "unroll_skip",
-    "harvest_layers",
-    "verify_unrolled",
-    "verify_ffn_regroup",
-    "build_grid",
-    "describe",
-    "run_config",
-    "run_grid",
-]
-
 DEFAULT_TOLERANCE = 1e-6
 
 

@@ -58,11 +58,16 @@ class TestCsv:
         with pytest.raises(DataError, match=":3: non-finite"):
             data.load_csv(path)
 
-    @pytest.mark.parametrize("cell", ["300", "0.5", "-1", "2"])
-    def test_label_not_binary_reports_line(self, tmp_path, cell):
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("1.0,0\n2.0,300", 3), ("1.0,0\n2.0,0.5", 3), ("1.0,0\n2.0,-1", 3),
+         ("1.0,0\n2.0,2", 3), ('"1\n",0\n2.0,3', 4)],
+        ids=["300", "0.5", "-1", "2", "after_quoted_newline"],
+    )
+    def test_label_not_binary_reports_line(self, tmp_path, rows, line):
         path = tmp_path / "bad.csv"
-        path.write_text(f"a,label\n1.0,0\n2.0,{cell}\n")
-        with pytest.raises(DataError, match=":3: label .* is not 0 or 1"):
+        path.write_text(f"a,label\n{rows}\n")
+        with pytest.raises(DataError, match=f":{line}: label .* is not 0 or 1"):
             data.load_csv(path)
 
     def test_empty_file(self, tmp_path):

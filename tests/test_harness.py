@@ -131,14 +131,15 @@ class TestScoreCommand:
         assert (tmp_path / "scored" / "scores.meta.txt").exists()
 
     def test_checkpoint_without_h1(self, workspace, capsys):
-        """A config error found in the checkpoint leaves no output directory."""
+        """A checkpoint whose h1 is nan, as an uncalibrated one was once
+        written, is a data error that leaves no output directory."""
         tmp_path, cfg = workspace
         assert main(["train", "--config", str(cfg)]) == 0
         from alorat import model as model_mod
 
         params, tc, _, stats = model_mod.load_checkpoint(tmp_path / "run" / "model.alora")
         bare = tmp_path / "bare.alora"
-        model_mod.save_checkpoint(bare, params, tc, h1=None, norm_stats=stats)
+        model_mod.save_checkpoint(bare, params, tc, float("nan"), stats)
         cfg2 = tmp_path / "noh1.ini"
         write_config(
             cfg2,
@@ -151,9 +152,9 @@ class TestScoreCommand:
             },
         )
         capsys.readouterr()
-        assert main(["score", "--config", str(cfg2)]) == 2
+        assert main(["score", "--config", str(cfg2)]) == 3
         err = capsys.readouterr().err
-        assert err == "config error: checkpoint has no calibrated h1; re-run training\n"
+        assert err == f"data error: {bare}: header has d_in=2, h1=nan, norm_stats=True\n"
         assert not (tmp_path / "scored2").exists()
 
     @staticmethod

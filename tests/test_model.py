@@ -37,6 +37,11 @@ def random_params(cfg, d, seed):
     return params
 
 
+def unit_stats(d):
+    """Normalization stats that leave every value bit-exactly as it is."""
+    return data.NormStats(mean=np.zeros(d), std=np.ones(d))
+
+
 def forward_one(window, params, cfg):
     """One T x d window through :func:`model.batch_forward`: its
     reconstruction and every layer's head-averaged attention."""
@@ -409,7 +414,7 @@ class TestDetect:
         cfg = tiny_cfg()
         values = np.random.default_rng(19).normal(size=(30, 3))
         params, _ = model.init_params(values, cfg, np.random.default_rng(18))
-        model.save_checkpoint(tmp_path / "model.alora", params, cfg, h1=0.01)
+        model.save_checkpoint(tmp_path / "model.alora", params, cfg, 0.01, unit_stats(3))
         data.save_csv(TimeSeriesFrame(values=values, names=("a", "b", "c")),
                       tmp_path / "data.csv")
         (tmp_path / "score.ini").write_text(
@@ -586,7 +591,8 @@ class TestCheckpoint:
         assert result.selection.pairs[0] == (0, 1)
         assert (result.params.kernels.pairs == (2, 3)).all()
         path = tmp_path / "m.alora"
-        model.save_checkpoint(path, result.params, cfg, result.thresholds.h1)
+        model.save_checkpoint(path, result.params, cfg, result.thresholds.h1,
+                              unit_stats(result.params.d_in))
         loaded, _, h1, _ = model.load_checkpoint(path)
         assert loaded.kernels.pairs.tobytes() == result.params.kernels.pairs.tobytes()
         want = model.score_frame(frame, result.params, cfg, result.thresholds.h1)
@@ -597,7 +603,8 @@ class TestCheckpoint:
     def test_warm_start_pairs_roundtrip(self, pinned_sim_run, tmp_path):
         cfg, result, _, _ = pinned_sim_run
         path = tmp_path / "m.alora"
-        model.save_checkpoint(path, result.params, cfg, result.thresholds.h1)
+        model.save_checkpoint(path, result.params, cfg, result.thresholds.h1,
+                              unit_stats(result.params.d_in))
         loaded, _, _, _ = model.load_checkpoint(path)
         assert loaded.kernels.pairs.tobytes() == result.params.kernels.pairs.tobytes()
 
@@ -624,15 +631,53 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             assert fh.read(6) == b"ALORA3"
 
-    def test_missing_h1_roundtrips_as_none(self, tmp_path):
-        cfg = tiny_cfg()
-        values = np.random.default_rng(26).normal(size=(50, 3))
-        params, _ = model.init_params(values, cfg, np.random.default_rng(27))
+    @staticmethod
+    def _saved(tmp_path):
+        """A tiny 3-series checkpoint and its path."""
+        params = random_params(tiny_cfg(), 3, seed=26)
         path = tmp_path / "m.alora"
-        model.save_checkpoint(path, params, cfg, h1=None)
-        _, _, h1, stats = model.load_checkpoint(path)
-        assert h1 is None
-        assert stats is None
+        model.save_checkpoint(path, params, tiny_cfg(), 0.5, unit_stats(3))
+        return path
+
+    @staticmethod
+    def _edit_header(path, old, new):
+        """Replace header line ``old`` by ``new`` and recompute the CRC, so
+        that only the decoding can reject the file."""
+        head, _, body = path.read_bytes().partition(b"\n\n")
+        covered = head.rpartition(b"\n")[0] + b"\n"
+        covered = covered.replace(b"\n" + old + b"\n", b"\n" + new + b"\n")
+        assert new in covered
+        crc = b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered))
+        path.write_bytes(covered + crc + b"\n\n" + body)
+
+    def test_header_without_h1_or_stats_is_data_error(self, tmp_path):
+        """The calibrated h1 and the training normalization are required:
+        a header without either is a data error, not a model that scores
+        without them."""
+        for old, new in ((b"h1=0.5", b"h1=nan"), (b"h1=0.5", b"h1=inf"),
+                         (b"norm_stats=True", b"norm_stats=False")):
+            path = self._saved(tmp_path)
+            self._edit_header(path, old, new)
+            with pytest.raises(DataError, match=new.decode()):
+                model.load_checkpoint(path)
+
+    def test_header_is_pinned(self, tmp_path):
+        """Every key of the v3 header in order, as every trained checkpoint
+        has written it, so each one still loads."""
+        cfg = tiny_cfg()
+        layout = model.param_layout(cfg, 3)
+        arrays = [np.full(shape, 0.25) for _, shape in layout]
+        params = ModelParams.from_arrays(3, np.array([[0, 1], [1, 2], [0, 2], [0, 1]]), arrays)
+        path = tmp_path / "m.alora"
+        stats = data.NormStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([0.5, 1.0, 2.0]))
+        model.save_checkpoint(path, params, cfg, 0.0123, stats)
+        assert (tmp_path / "m.alora.manifest.txt").read_text() == (
+            "ALORA3\nt_window=8\nd_model=4\nheads=2\nlayers=2\nlambda_reg=2.0\n"
+            "learning_rate=0.001\nmax_epochs=3\npatience=3\nk_pairs=4\nr=1\nseed=0\n"
+            "skip=True\nactivation=identity\nmask=none\nbatch_size=16\n"
+            "pair_method=spearman\nkernel_size=3\nd_in=3\nh1=0.0123\nnorm_stats=True\n"
+            "crc32=28044ad0\n"
+        )
 
     def test_pair_outside_series_is_data_error(self, tmp_path):
         """A pairs block naming series 3 of a 3-series model, with the CRC
@@ -641,7 +686,7 @@ class TestCheckpoint:
         values = np.random.default_rng(28).normal(size=(50, 3))
         params, _ = model.init_params(values, cfg, np.random.default_rng(29))
         path = tmp_path / "m.alora"
-        model.save_checkpoint(path, params, cfg, h1=0.5)
+        model.save_checkpoint(path, params, cfg, 0.5, unit_stats(3))
         head, _, body = path.read_bytes().partition(b"\n\n")
         covered = head.rpartition(b"\n")[0] + b"\n"
         body = np.array([[0, 3]], dtype="<i8").tobytes() + body[16:]
@@ -667,15 +712,15 @@ class TestCheckpoint:
             assert len(body) == 8 * (2 * cfg.d_model + sizes + 2 * d)
 
     def test_header_claiming_one_more_layer_is_data_error(self, tmp_path):
-        cfg = tiny_cfg()
-        values = np.random.default_rng(32).normal(size=(50, 3))
-        params, _ = model.init_params(values, cfg, np.random.default_rng(33))
-        path = tmp_path / "m.alora"
-        model.save_checkpoint(path, params, cfg, h1=0.5)
-        head, _, body = path.read_bytes().partition(b"\n\n")
-        covered = head.rpartition(b"\n")[0].replace(b"\nlayers=2\n", b"\nlayers=3\n") + b"\n"
-        crc = b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered))
-        path.write_bytes(covered + crc + b"\n\n" + body)
+        path = self._saved(tmp_path)
+        self._edit_header(path, b"layers=2", b"layers=3")
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            model.load_checkpoint(path)
+
+    def test_header_claiming_huge_layer_count_is_data_error(self, tmp_path):
+        """Rejected before the parameter layout lists 10**12 layers."""
+        path = self._saved(tmp_path)
+        self._edit_header(path, b"layers=2", b"layers=%d" % 10**12)
         with pytest.raises(DataError, match="truncated checkpoint"):
             model.load_checkpoint(path)
 

@@ -266,10 +266,15 @@ class TestLocTruthReader:
         with pytest.raises(DataError, match="timestep,series_index"):
             data.load_loc_truth(tmp_path / "t.csv")
 
-    @pytest.mark.parametrize("row", ["3,1.5", "-1,0", "3,-2", "1e300,0", "3,1e19"])
-    def test_cells_are_non_negative_integers(self, tmp_path, row):
-        (tmp_path / "t.csv").write_text(f"timestep,series_index\n0,0\n{row}\n")
-        with pytest.raises(DataError, match=r"t\.csv:3:"):
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("0,0\n3,1.5", 3), ("0,0\n-1,0", 3), ("0,0\n3,-2", 3), ("0,0\n1e300,0", 3),
+         ("0,0\n3,1e19", 3), ('0,"1\n"\n3,1.5', 4)],
+        ids=["3,1.5", "-1,0", "3,-2", "1e300,0", "3,1e19", "after_quoted_newline"],
+    )
+    def test_cells_are_non_negative_integers(self, tmp_path, rows, line):
+        (tmp_path / "t.csv").write_text(f"timestep,series_index\n{rows}\n")
+        with pytest.raises(DataError, match=rf"t\.csv:{line}: cells must be non-negative"):
             data.load_loc_truth(tmp_path / "t.csv")
 
     def test_integral_floats_accepted(self, tmp_path):
