@@ -1,7 +1,9 @@
-"""No module lists its names in ``__all__``, and each name has one import
-path: through its module, never through the package."""
+"""No module lists its names in ``__all__``, every name a caller takes from a
+module resolves, and each name has one import path: through its module, never
+through the package."""
 
 import ast
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -14,18 +16,45 @@ import alorat
 
 PACKAGE = Path(alorat.__file__).resolve().parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(alorat.__path__))
+REPO = Path(__file__).resolve().parent.parent
 
 
-def test_no_module_assigns_all():
-    """A module's public surface is its names without a leading underscore;
-    no ``__all__`` lists them a second time."""
-    assigning = []
-    for path in sorted(PACKAGE.glob("*.py")):
+def _reached_names():
+    """Each module of the package mapped to the names that the package's own
+    modules, the benchmark and the demos take from it: ``module.name`` through
+    an imported module, or ``from .module import name``."""
+    reached = {name: set() for name in MODULES}
+    callers = [PACKAGE.glob("*.py"), (REPO / "perfbench").glob("*.py"), (REPO / "demos").glob("*.py")]
+    for path in sorted(p for group in callers for p in group):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
-               for n in ast.walk(tree)):
-            assigning.append(path.name)
-    assert assigning == []
+        aliases = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if (node.level, node.module) in ((1, None), (0, "alorat")):
+                aliases.update((a.asname or a.name, a.name) for a in node.names)
+            elif node.level == 1 or (node.module or "").startswith("alorat."):
+                reached[node.module.rpartition(".")[2]].update(a.name for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                reached[aliases[node.value.id]].add(node.attr)
+    return reached
+
+
+REACHED = _reached_names()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    """Every name a caller takes from the module resolves, and no ``__all__``
+    lists the public surface (the names without a leading underscore) a
+    second time."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
+                   for n in ast.walk(tree))
+    module = importlib.import_module(f"alorat.{name}")
+    assert sorted(n for n in REACHED[name] if not hasattr(module, n)) == []
 
 
 def test_package_namespace_is_the_docstring_only():
