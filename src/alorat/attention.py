@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag, linalg
+from . import linalg
 
 ACTIVATIONS = ("identity", "gelu")
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 @dataclass
@@ -79,6 +80,18 @@ def per_head_value_maps(params: AttentionLayerParams) -> np.ndarray:
 # -- the layer kernel, shared by training and inference ------------------------
 
 
+def gelu_parts(x: np.ndarray):
+    """tanh-form GELU of an array, with the tanh term its slope reuses."""
+    th = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + th), th
+
+
+def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`gelu_parts` at ``x``."""
+    du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
+
+
 def forward_t(
     z: np.ndarray,
     w_q: np.ndarray,
@@ -125,12 +138,12 @@ def forward_t(
     pre = merged @ w_proj
     if skip:
         pre += z2
-    out, th = ag.gelu_parts(pre) if activation == "gelu" else (pre, None)
+    out, th = gelu_parts(pre) if activation == "gelu" else (pre, None)
 
     def backward(d_next, d_s):
         g = d_next.reshape(-1, d_model)
         if th is not None:
-            g = g * ag.gelu_slope(pre, th)
+            g = g * gelu_slope(pre, th)
         d_proj = merged.T @ g
         d_o = (g @ w_proj.T).reshape(b, t_len, heads, dh).transpose(2, 0, 1, 3)
         d_qkv = np.empty((b, t_len, 3, heads, dh))

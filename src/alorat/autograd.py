@@ -1,4 +1,4 @@
-"""The value-with-backward ``Tensor``, the GELU formula and slope, and ADAM.
+"""The value-with-backward ``Tensor`` and ADAM.
 
 Each training kernel returns a ``backward`` that maps output gradients to
 input gradients as arrays (:func:`alorat.embedding.pair_conv`,
@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-
-
 class Tensor:
     """A value; ``backward()`` runs the reverse pass given and returns its result."""
 
@@ -25,18 +22,6 @@ class Tensor:
 
     def backward(self):
         return self._backward()
-
-
-def gelu_parts(x: np.ndarray):
-    """tanh-form GELU of an array, with the tanh term its slope reuses."""
-    th = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
-    return 0.5 * x * (1.0 + th), th
-
-
-def gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`gelu_parts` at ``x``."""
-    du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
-    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
 
 
 # ADAM's moment decay rates and denominator guard.

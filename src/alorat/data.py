@@ -55,10 +55,8 @@ class LocalizationTruth:
 
     def segment_set(self, segment) -> frozenset[int]:
         """Union of truth sets over the half-open ``segment``'s timesteps."""
-        out: set[int] = set()
-        for t in range(segment.start, segment.end):
-            out |= self.by_time.get(t, frozenset())
-        return frozenset(out)
+        steps = range(segment.start, segment.end)
+        return frozenset().union(*(self.by_time.get(t, ()) for t in steps))
 
 
 @dataclass(frozen=True)
@@ -310,16 +308,15 @@ def downsample_mean(frame: TimeSeriesFrame, factor: int) -> TimeSeriesFrame:
         raise DataError("factor must be >= 1")
     if factor == 1:
         return frame
-    n_blocks = -(-frame.n // factor)
-    values = np.empty((n_blocks, frame.d))
-    for b in range(n_blocks):
-        values[b] = frame.values[b * factor : (b + 1) * factor].mean(axis=0)
+    n, d = frame.values.shape
+    factor = min(factor, max(n, 1))  # a factor above n makes the same one block
+    cut = n - n % factor
+    values = frame.values[:cut].reshape(cut // factor, factor, d).mean(axis=1)
+    if cut < n:
+        values = np.vstack([values, frame.values[cut:].mean(axis=0)])
     labels = None
     if frame.labels is not None:
-        labels = np.array(
-            [int(frame.labels[b * factor : (b + 1) * factor].any()) for b in range(n_blocks)],
-            dtype=np.int8,
-        )
+        labels = np.maximum.reduceat(frame.labels, np.arange(0, n, factor))
     loc_truth = None
     if frame.loc_truth is not None:
         by_time: dict[int, frozenset[int]] = {}

@@ -112,15 +112,10 @@ def select_pairs(train, k: int, method: str = "spearman") -> PairSelection:
         corr = np.corrcoef(cols, rowvar=False)
     corr = np.nan_to_num(corr, nan=0.0)
 
-    entries = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            entries.append((-abs(corr[i, j]), i, j))
-    entries.sort()
-    kept = entries[: min(k, len(entries))]
-    pairs = tuple((i, j) for _, i, j in kept)
-    scores = np.array([-neg for neg, _, _ in kept])
-    return PairSelection(pairs=pairs, scores=scores)
+    i, j = np.triu_indices(d, 1)  # in (i, j) order, which the stable sort keeps for ties
+    mag = np.abs(corr[i, j])
+    kept = np.argsort(-mag, kind="stable")[:k]
+    return PairSelection(pairs=tuple(zip(i[kept].tolist(), j[kept].tolist())), scores=mag[kept])
 
 
 def pair_conv(x: np.ndarray, weights: np.ndarray, pairs: np.ndarray):

@@ -44,7 +44,7 @@ _SCHEMAS = {
         **{f.name: (f.type, f.default, f.metadata["limit"])
            for f in dataclasses.fields(TrainConfig)},
         "label_column": ("str", "label", None),
-        "downsample": ("int", 1, model_mod.at_least(1)),
+        "downsample": ("int", 1, model_mod.between(1, model_mod.MAX_SIZE)),
     },
     "score": {
         "checkpoint": ("str", "!required", None),
@@ -292,9 +292,8 @@ def cmd_eval(resolved: dict) -> int:
                 [metrics_mod.hit_rate(ranked[t], g, p) for t, g in truth.by_time.items()]))
             report[f"ndcg_at_{p}"] = float(np.mean(
                 [metrics_mod.ndcg(ranked[t], g, p) for t, g in truth.by_time.items()]))
-        segments = metrics_mod.events_from_labels(labels)
-        seg_truth = [truth.segment_set(seg) for seg in segments]
-        usable = [(s, g) for s, g in zip(segments, seg_truth) if g]
+        seg_truth = [truth.segment_set(seg) for seg in true_events]
+        usable = [(s, g) for s, g in zip(true_events, seg_truth) if g]
         if usable:
             report["ips"] = metrics_mod.ips(
                 las_matrix, [s for s, _ in usable], [g for _, g in usable]

@@ -132,14 +132,11 @@ def affiliation_pr(pred_events, true_events, horizon: int) -> AffiliationResult:
     true_pts = _event_points(true_events)
     empty = len(pred_events) == 0
     if empty:
-        precision = 0.0
+        precision = recall = 0.0
     else:
         precision = float(
             np.mean([max(0.0, 1.0 - _directed_gap(p, true_pts) / horizon) for p in pred_events])
         )
-    if empty:
-        recall = 0.0
-    else:
         pred_pts = _event_points(pred_events)
         recall = float(
             np.mean([max(0.0, 1.0 - _directed_gap(t, pred_pts) / horizon) for t in true_events])

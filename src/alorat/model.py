@@ -56,6 +56,16 @@ def at_least(low):
     return (f">= {low}", lambda v: v >= low)
 
 
+def between(low, high):
+    return (f"in [{low}, {high}]", lambda v: low <= v <= high)
+
+
+# The largest value of a key that sets an array dimension.  A parameter
+# array spans at most two such sizes, so one too large to allocate is a
+# MemoryError, never past numpy's limit of 2**63 bytes.
+MAX_SIZE = 10**6
+
+
 def one_of(*choices):
     return ("one of " + ", ".join(choices), lambda v: v in choices)
 
@@ -72,10 +82,10 @@ def _key(default, limit):
 class TrainConfig:
     """Training settings; each field's metadata holds its limit."""
 
-    t_window: int = _key(20, at_least(2))
-    d_model: int = _key(64, at_least(1))
-    heads: int = _key(8, at_least(1))
-    layers: int = _key(3, at_least(1))
+    t_window: int = _key(20, between(2, MAX_SIZE))
+    d_model: int = _key(64, between(1, MAX_SIZE))
+    heads: int = _key(8, between(1, MAX_SIZE))
+    layers: int = _key(3, between(1, MAX_SIZE))
     lambda_reg: float = _key(10.0, FINITE_AT_LEAST_0)
     learning_rate: float = _key(1e-4, FINITE_ABOVE_0)
     max_epochs: int = _key(50, at_least(1))
@@ -86,9 +96,10 @@ class TrainConfig:
     skip: bool = _key(True, None)
     activation: str = _key("identity", one_of(*attention.ACTIVATIONS))
     mask: str = _key("none", one_of("none", "causal"))
-    batch_size: int = _key(64, at_least(1))
+    batch_size: int = _key(64, between(1, MAX_SIZE))
     pair_method: str = _key("spearman", one_of("spearman", "pearson"))
-    kernel_size: int = _key(3, ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1))
+    kernel_size: int = _key(3, (f"odd and in [1, {MAX_SIZE}]",
+                                 lambda v: 1 <= v <= MAX_SIZE and v % 2 == 1))
 
     def __post_init__(self):
         for f in fields(self):
@@ -545,7 +556,7 @@ def load_checkpoint(path):
         cfg = TrainConfig(**values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if d_in < 2 or not math.isfinite(h1) or not has_stats:
+    if not 2 <= d_in <= MAX_SIZE or not math.isfinite(h1) or not has_stats:
         raise DataError(f"{path}: header has d_in={d_in}, h1={h1}, norm_stats={has_stats}")
     # A layer count the body cannot hold fails before the layout lists it.
     layer = attention.layer_shapes(cfg.d_model, cfg.heads)

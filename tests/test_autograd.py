@@ -85,8 +85,8 @@ def test_softmax_rows_masked():
 
 def _gelu(x):
     """GELU with its backward, from the formula and slope forward_t uses."""
-    out, th = ag.gelu_parts(x)
-    return out, lambda d_out: d_out * ag.gelu_slope(x, th)
+    out, th = attention.gelu_parts(x)
+    return out, lambda d_out: d_out * attention.gelu_slope(x, th)
 
 
 def test_gelu():

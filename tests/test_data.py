@@ -181,7 +181,61 @@ class TestNormalize:
             data.normalize(frame, bad)
 
 
+def downsample_loop(frame, factor):
+    """The block means, any-positive labels and truth unions of
+    :func:`data.downsample_mean` as the per-block loop it replaced."""
+    n_blocks = -(-frame.n // factor)
+    values = np.empty((n_blocks, frame.d))
+    for b in range(n_blocks):
+        values[b] = frame.values[b * factor : (b + 1) * factor].mean(axis=0)
+    labels = None
+    if frame.labels is not None:
+        labels = np.array([int(frame.labels[b * factor : (b + 1) * factor].any())
+                           for b in range(n_blocks)], dtype=np.int8)
+    truth = {}
+    for t, g in frame.loc_truth.by_time.items():
+        truth[t // factor] = truth.get(t // factor, frozenset()) | g
+    return values, labels, truth
+
+
+def downsample_corpus(cases=300):
+    """Seeded (frame, factor) pairs: values of mixed scale, labels and truth
+    on every frame, and factors that leave a partial trailing block, divide
+    n, equal n or exceed it."""
+    rng = np.random.default_rng(26)
+    for i in range(cases):
+        n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        scale = 10.0 ** rng.integers(-3, 8, size=d)
+        values = rng.normal(size=(n, d)) * scale + rng.normal(size=d)
+        truth = {int(t): {int(rng.integers(0, d))} for t in rng.choice(n, size=min(n, 3))}
+        frame = TimeSeriesFrame(values=values, names=tuple(map(str, range(d))),
+                                labels=rng.integers(0, 2, size=n),
+                                loc_truth=LocalizationTruth(by_time=truth))
+        divisors = [f for f in range(2, n + 1) if n % f == 0] or [2]
+        factor = (int(rng.integers(2, 9)), int(rng.choice(divisors)), n + 1, n + 7)[i % 4]
+        yield frame, factor
+
+
 class TestDownsample:
+    def test_matches_block_loop_oracle(self):
+        for frame, factor in downsample_corpus():
+            out = data.downsample_mean(frame, factor)
+            values, labels, truth = downsample_loop(frame, factor)
+            assert out.values.tobytes() == values.tobytes(), (frame.n, frame.d, factor)
+            assert out.labels.dtype == labels.dtype and np.array_equal(out.labels, labels)
+            assert out.loc_truth.by_time == truth
+
+    def test_add_reduceat_form_fails_the_oracle(self):
+        """Block sums by ``np.add.reduceat`` round differently from the
+        per-block mean, so the corpus tells the two apart."""
+        differ = 0
+        for frame, factor in downsample_corpus():
+            starts = np.arange(0, frame.n, factor)
+            sizes = np.diff(np.append(starts, frame.n))
+            means = np.add.reduceat(frame.values, starts, axis=0) / sizes[:, None]
+            differ += means.tobytes() != downsample_loop(frame, factor)[0].tobytes()
+        assert differ > 0
+
     def test_factor_one_is_identity(self):
         frame = TimeSeriesFrame(values=np.arange(6.0).reshape(3, 2), names=("a", "b"))
         assert data.downsample_mean(frame, 1) is frame

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,45 @@ class TestSpearman:
             assert pair_score([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
 
+def select_pairs_loop(values, k, method):
+    """The ranking of :func:`embedding.select_pairs` as the double loop over
+    pairs it replaced: every (-|r|, i, j) tuple, sorted, the first k kept."""
+    d = values.shape[1]
+    cols = values
+    if method == "spearman":
+        cols = np.column_stack([embedding._rank_average(values[:, i]) for i in range(d)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.nan_to_num(np.corrcoef(cols, rowvar=False), nan=0.0)
+    entries = sorted((-abs(corr[i, j]), i, j) for i in range(d) for j in range(i + 1, d))[:k]
+    return tuple((i, j) for _, i, j in entries), np.array([-neg for neg, _, _ in entries])
+
+
 class TestSelectPairs:
+    @pytest.mark.parametrize("method", ["spearman", "pearson"])
+    def test_matches_pair_loop_oracle(self, method):
+        """Pairs and score bytes equal the loop's on seeded frames with tied
+        columns, a constant series and integer values, for k below, at and
+        above C(d, 2)."""
+        rng = np.random.default_rng(27)
+        for case in range(150):
+            n, d = int(rng.integers(3, 40)), int(rng.integers(2, 12))
+            values = rng.normal(size=(n, d))
+            if case % 3 == 0:
+                values = np.round(values)
+            if case % 4 == 0:
+                values[:, -1] = -2.0 * values[:, 0]
+            if case % 5 == 0:
+                values[:, int(rng.integers(0, d))] = 1.5
+            n_pairs = d * (d - 1) // 2
+            for k in {1, max(1, n_pairs - 1), n_pairs, n_pairs + 3, 10**20}:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    sel = embedding.select_pairs(values, k, method)
+                pairs, scores = select_pairs_loop(values, k, method)
+                assert sel.pairs == pairs, (case, k)
+                assert sel.scores.dtype == scores.dtype
+                assert sel.scores.tobytes() == scores.tobytes(), (case, k)
+
     def test_small_d_keeps_all_pairs(self):
         rng = np.random.default_rng(1)
         sel = embedding.select_pairs(rng.normal(size=(50, 3)), 512)

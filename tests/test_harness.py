@@ -1,5 +1,6 @@
 import shutil
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from alorat import data, harness, linalg
 from alorat import model as model_mod
 from alorat.data import DataError
 from alorat.harness import main
+from alorat.model import TrainConfig
 
 
 def write_config(path, sections: dict):
@@ -102,8 +104,23 @@ class TestTrainCommand:
         write_config(cfg, {"train": {"data": tmp_path / "sim" / "sim.csv",
                                      "out": tmp_path / "o4", "downsample": 0}})
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "config error: downsample must be >= 1\n"
+        assert capsys.readouterr().err == "config error: downsample must be in [1, 1000000]\n"
         assert not (tmp_path / "o4").exists()
+
+    @pytest.mark.parametrize("value", [2**31, 2**62, 2**63, 10**20])
+    def test_counts_at_the_int64_edge_train(self, tmp_path, capsys, value):
+        """The integer keys that size no array accept any value: a pair
+        count, penalty rank, patience or seed past int64 trains, and so
+        would an epoch budget, which TrainConfig accepts."""
+        rows = np.random.default_rng(0).normal(size=(30, 2))
+        data.save_csv(data.TimeSeriesFrame(values=rows, names=("a", "b")), tmp_path / "d.csv")
+        cfg = tmp_path / "counts.ini"
+        write_config(cfg, {"train": {"data": tmp_path / "d.csv", "out": tmp_path / "o",
+                                     "t_window": 4, "d_model": 4, "heads": 2, "layers": 1,
+                                     "max_epochs": 1, "k_pairs": value, "r": value,
+                                     "patience": value, "seed": value}})
+        assert main(["train", "--config", str(cfg)]) == 0, capsys.readouterr().err
+        assert TrainConfig(max_epochs=value).max_epochs == value
 
     def test_one_series_exits_3(self, tmp_path, capsys):
         frame = data.TimeSeriesFrame(values=np.random.default_rng(0).normal(size=(40, 1)),
@@ -305,6 +322,24 @@ class TestCheckpointDecoding:
             err = capsys.readouterr().err
             assert err.startswith("data error: ")
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("old, new", [(b"kernel_size=3", b"kernel_size=%d" % 10**20),
+                                          (b"d_in=2", b"d_in=%d" % 2**62)])
+    def test_score_on_header_size_past_int64(self, trained, capsys, old, new):
+        """A header size past int64, edited with the CRC recomputed, is one
+        data error line that names the key, not an internal error."""
+        tmp_path, cfg, raw, header_len = trained
+        covered = raw[: raw.index(b"\ncrc32=") + 1].replace(b"\n" + old + b"\n",
+                                                            b"\n" + new + b"\n")
+        body = raw[header_len:]
+        path = tmp_path / "run" / "model.alora"
+        crc = b"crc32=%08x\n\n" % zlib.crc32(body, zlib.crc32(covered))
+        path.write_bytes(covered + crc + body)
+        capsys.readouterr()
+        assert main(["score", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert old.split(b"=")[0].decode() in err
 
 
 class TestPipelineCommands:
@@ -823,11 +858,22 @@ BOUNDARY_CASES = {
     **{f"train_{key}_{value}": ("train", _TRAIN + f"{key} = {value}\n", 2,
                                 f"config error: {key} must be {requirement}\n")
        for key, value, requirement in [
-           ("patience", -1, ">= 0"), ("batch_size", 0, ">= 1"), ("k_pairs", 0, ">= 1"),
-           ("max_epochs", 0, ">= 1"), ("heads", 0, ">= 1"), ("d_model", 0, ">= 1"),
-           ("kernel_size", 2, "odd and >= 1"), ("activation", "relu", "one of identity, gelu"),
+           ("patience", -1, ">= 0"), ("batch_size", 0, "in [1, 1000000]"),
+           ("k_pairs", 0, ">= 1"), ("max_epochs", 0, ">= 1"), ("heads", 0, "in [1, 1000000]"),
+           ("d_model", 0, "in [1, 1000000]"), ("kernel_size", 2, "odd and in [1, 1000000]"),
+           ("activation", "relu", "one of identity, gelu"),
            ("mask", "full", "one of none, causal"),
            ("pair_method", "kendall", "one of spearman, pearson")]},
+    # Every key that sets an array dimension, at the int64 edge: rejected
+    # before the data is read or anything is allocated.
+    **{f"train_{key}_{value}": ("train", _TRAIN + f"{key} = {value}\n", 2,
+                                f"config error: {key} must be {requirement}\n")
+       for key, requirement in [
+           ("t_window", "in [2, 1000000]"), ("d_model", "in [1, 1000000]"),
+           ("heads", "in [1, 1000000]"), ("layers", "in [1, 1000000]"),
+           ("batch_size", "in [1, 1000000]"), ("kernel_size", "odd and in [1, 1000000]"),
+           ("downsample", "in [1, 1000000]")]
+       for value in (2**31, 2**62, 2**63, 10**20)},
 }
 
 

@@ -1,6 +1,7 @@
+import re
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -718,11 +719,32 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
     def test_header_claiming_huge_layer_count_is_data_error(self, tmp_path):
-        """Rejected before the parameter layout lists 10**12 layers."""
+        """Rejected before the parameter layout lists 10**6 layers."""
         path = self._saved(tmp_path)
-        self._edit_header(path, b"layers=2", b"layers=%d" % 10**12)
+        self._edit_header(path, b"layers=2", b"layers=%d" % 10**6)
         with pytest.raises(DataError, match="truncated checkpoint"):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [2**31, 2**62, 2**63, 10**20])
+    def test_header_integers_at_the_int64_edge(self, tmp_path, monkeypatch, value):
+        """Each integer header key at ``value``, the CRC recomputed.  A key
+        that sets an array dimension is a data error that names it, raised
+        before any view of the body; a count (epochs, patience, pairs, r,
+        seed) decodes."""
+        sizes = ("t_window", "d_model", "heads", "layers", "batch_size", "kernel_size", "d_in")
+        cfg = tiny_cfg()
+        for key in [f.name for f in fields(TrainConfig) if f.type == "int"] + ["d_in"]:
+            path = self._saved(tmp_path)
+            old = 3 if key == "d_in" else getattr(cfg, key)
+            self._edit_header(path, f"{key}={old}".encode(), f"{key}={value}".encode())
+            if key not in sizes:
+                assert getattr(model.load_checkpoint(path)[1], key) == value
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "frombuffer", None)  # a view of the body raises TypeError
+                named = rf"^{re.escape(str(path))}: .*\b{key}( must|=)"
+                with pytest.raises(DataError, match=named):
+                    model.load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.alora"
