@@ -362,9 +362,7 @@ def simulate_mean_shift(
     if not 0 <= t1 < t2 <= n:
         raise DataError(f"need 0 <= t1 < t2 <= n, got t1={t1}, t2={t2}, n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    values = np.empty((n, 2))
-    values[:, 0] = rng.normal(mu[0], sigma[0], size=n)
-    values[:, 1] = rng.normal(mu[1], sigma[1], size=n)
+    values = np.column_stack([rng.normal(mu[i], sigma[i], size=n) for i in (0, 1)])
     values[t1:t2, 0] += delta
     labels = np.zeros(n, dtype=np.int8)
     labels[t1:t2] = 1
@@ -426,9 +424,5 @@ def inject_anomaly(
     by_time = dict(prior)
     for t in range(start, end):
         by_time[t] = by_time.get(t, frozenset()) | {series}
-    return TimeSeriesFrame(
-        values=values,
-        names=frame.names,
-        labels=labels,
-        loc_truth=LocalizationTruth(by_time=by_time),
-    )
+    return replace(frame, values=values, labels=labels,
+                   loc_truth=LocalizationTruth(by_time=by_time))

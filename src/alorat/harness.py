@@ -75,7 +75,7 @@ _SCHEMAS = {
     "simulate": {
         "out": ("str", "!required", None),
         "seed": ("int", 0, model_mod.at_least(0)),
-        "n": ("int", 500, model_mod.at_least(1)),
+        "n": ("int", 500, model_mod.between(1, model_mod.MAX_SIZE)),
         "t1": ("int", 200, None),
         "t2": ("int", 300, None),
         "delta": ("float", 3.0, _FINITE),
@@ -146,9 +146,13 @@ def _prepare_out(resolved: dict, command: str) -> Path:
 
 
 def _require_file(path: str) -> str:
-    if Path(path).is_dir():
+    try:
+        is_dir, is_file = Path(path).is_dir(), Path(path).is_file()
+    except OSError as exc:  # a path the OS refuses to look up, such as a name too long
+        raise DataError(f"{path}: {exc.strerror}") from None
+    if is_dir:
         raise DataError(f"{path} is a directory, not a file")
-    if not Path(path).is_file():
+    if not is_file:
         raise FileNotFoundError(f"missing input file: {path}")
     return path
 
@@ -200,13 +204,11 @@ def cmd_score(resolved: dict) -> int:
         header.append("label")
         columns.append((series.anomaly_score > h2).astype(np.int8))
     data_mod.write_table(out / "scores.csv", header, columns)
-    with open(out / "scores.meta.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"t_window={cfg.t_window}\n")
-        fh.write(f"h1={h1!r}\n")
-        fh.write(f"h2={'' if h2 is None else repr(h2)}\n")
-        fh.write(f"first_full_window_timestep={cfg.t_window - 1}\n")
-        fh.write("note=timesteps before first_full_window_timestep are scored "
-                 "from the first window\n")
+    metrics_mod.write_report(out / "scores.meta.txt", {
+        "t_window": cfg.t_window, "h1": h1, "h2": "" if h2 is None else h2,
+        "first_full_window_timestep": cfg.t_window - 1,
+        "note": "timesteps before first_full_window_timestep are scored from the first window",
+    })
     print(f"scored {frame.n} timesteps -> {out / 'scores.csv'}")
     return 0
 
@@ -337,9 +339,7 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_star_check(resolved: dict) -> int:
-    out = None
-    if resolved["out"] is not None:
-        out = _prepare_out(resolved, "star-check")
+    out = None if resolved["out"] is None else _prepare_out(resolved, "star-check")
     results = star_verify.run_grid(
         n=resolved["configs"], base_seed=resolved["seed"], tolerance=resolved["tolerance"]
     )

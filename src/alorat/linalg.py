@@ -41,8 +41,6 @@ def geman_batch(s: np.ndarray, r: int, grad: bool = True) -> tuple[float, np.nda
     k = s.shape[-1]
     if s.shape[-2] != k:
         raise ValueError(f"expected square matrices, got shape {s.shape}")
-    if r >= k:
-        return 0.0, np.zeros_like(s) if grad else None
     if grad:
         u, sigma, vh = _stack_map(np.linalg.svd, s)
     else:
@@ -119,16 +117,14 @@ def overlap(produce, consume, items) -> list:
 
 def softmax_last(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of an arbitrary stack; -inf entries map
-    to exact zeros.
+    to exact zeros, and a row of all -inf (which only overflowed logits
+    give: :func:`causal_mask` keeps the diagonal) comes back nan.
 
     The work runs on one contiguous copy with the reduced axis moved to the
     front, where max, sum and scaling act on whole slabs, not short rows;
     the result is a view of that copy in the input's orientation."""
     e = np.moveaxis(a, -1, 0).copy()
-    top = np.max(e, axis=0)
-    if np.isneginf(top).any():
-        raise ValueError("softmax over a fully masked row is undefined")
-    e -= top
+    e -= np.max(e, axis=0)
     np.exp(e, out=e)
     e *= 1.0 / np.sum(e, axis=0)
     return np.moveaxis(e, 0, -1)

@@ -361,8 +361,9 @@ def train(
     of the final layer over the full training sequence set h1.
 
     ``init`` warm-starts from a copy of existing parameters, channel pairs
-    included; ``trainable`` restricts the optimized groups (subset of
-    :data:`PARAM_GROUPS`), leaving the rest frozen.
+    included, and must have the arrays of :func:`param_layout`; ``trainable``
+    restricts the optimized groups (subset of :data:`PARAM_GROUPS`), leaving
+    the rest frozen.
     """
     groups = set(PARAM_GROUPS if trainable is None else trainable)
     unknown = groups - set(PARAM_GROUPS)
@@ -380,6 +381,11 @@ def train(
     if init is None:
         params, selection = init_params(train_frame, cfg, rng)
     else:
+        have = [(name, a.shape) for name, a in init.arrays()]
+        # Layouts of other lengths already differ where the shorter has w_out.
+        for got, want in zip(have, param_layout(cfg, train_frame.d)):
+            if got != want:
+                raise ValueError(f"init array {got} differs from the config's {want}")
         params = init.copy()
         selection = embedding.select_pairs(train_frame, cfg.k_pairs, cfg.pair_method)
     trained = [name in groups for name, _ in params.arrays()]
@@ -489,11 +495,13 @@ def score_frame(
         counts = np.concatenate(linalg.overlap(forward, rank, _chunks(win, cfg)))
 
     residual_sq = res_per_series.sum(axis=1)
-    if not np.isfinite(residual_sq).all():  # finite terms whose sum overflows
-        raise NumericError("non-finite reconstruction residuals")
     alora = None if h1 is None else np.concatenate([np.full(t_len - 1, counts[0]), counts])
+    score = residual_sq if alora is None else residual_sq * alora
+    bad = np.flatnonzero(~np.isfinite(score))  # finite terms whose sum or product overflows
+    if bad.size:
+        raise NumericError(f"non-finite score at timestep {bad[0]}")
     return ScoreSeries(
-        anomaly_score=None if alora is None else residual_sq * alora,
+        anomaly_score=None if alora is None else score,
         alora_score=alora,
         residual_sq=residual_sq,
         residual_sq_per_series=res_per_series,

@@ -1,6 +1,8 @@
+import re
 import shutil
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +273,71 @@ class TestScoreCommand:
         assert capsys.readouterr().err == (
             "numeric failure: non-finite reconstruction residual of series x1 at timestep 0\n")
         assert not (tmp_path / {"score": "scored", "localize": "localized"}[command]).exists()
+
+    def test_meta_file_bytes(self, tmp_path):
+        """scores.meta.txt for a fixed h1, with h2 set and without."""
+        frame = data.simulate_mean_shift(n=40, t1=10, t2=20, seed=1)
+        data.save_csv(frame, tmp_path / "data.csv")
+        cfg = TrainConfig(t_window=4, d_model=2, heads=1, layers=1, k_pairs=1)
+        params, _ = model_mod.init_params(frame, cfg, np.random.default_rng(0))
+        model_mod.save_checkpoint(tmp_path / "m.alora", params, cfg, 1 / 3,
+                                  data.NormStats(np.zeros(2), np.ones(2)))
+        note = "timesteps before first_full_window_timestep are scored from the first window"
+        for h2, line in [(2.5, "h2=2.5\n"), (None, "h2=\n")]:
+            score = {"checkpoint": tmp_path / "m.alora", "data": tmp_path / "data.csv",
+                     "out": tmp_path / f"out{h2}"}
+            if h2 is not None:
+                score["h2"] = h2
+            write_config(tmp_path / "s.ini", {"score": score})
+            assert main(["score", "--config", str(tmp_path / "s.ini")]) == 0
+            assert (tmp_path / f"out{h2}" / "scores.meta.txt").read_text() == (
+                "t_window=4\nh1=0.3333333333333333\n" + line
+                + f"first_full_window_timestep=3\nnote={note}\n")
+
+
+@pytest.fixture(scope="module")
+def normal_checkpoint(tmp_path_factory):
+    """A checkpoint trained on 400 x 3 N(0, 1) rows, and those rows."""
+    tmp = tmp_path_factory.mktemp("normal")
+    values = np.random.default_rng(0).normal(size=(400, 3))
+    data.save_csv(data.TimeSeriesFrame(values=values, names=("a", "b", "c")), tmp / "train.csv")
+    write_config(tmp / "train.ini", {"train": {
+        "data": tmp / "train.csv", "out": tmp / "run", "t_window": 8, "d_model": 4, "heads": 2,
+        "layers": 2, "max_epochs": 2, "k_pairs": 3}})
+    assert main(["train", "--config", str(tmp / "train.ini")]) == 0
+    return tmp / "run" / "model.alora", values
+
+
+class TestScoringOverflow:
+    """Data so far outside the checkpoint's normalization that scoring
+    overflows exits 4 with one line and leaves no out, wherever the
+    overflow happens."""
+
+    @staticmethod
+    def _run(command, checkpoint, values, tmp_path, capsys):
+        data.save_csv(data.TimeSeriesFrame(values=values, names=("a", "b", "c")),
+                      tmp_path / "data.csv")
+        write_config(tmp_path / "run.ini", {command: {
+            "checkpoint": checkpoint, "data": tmp_path / "data.csv", "out": tmp_path / "out"}})
+        capsys.readouterr()
+        assert main([command, "--config", str(tmp_path / "run.ini")]) == 4
+        assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "localize"])
+    def test_every_logit_overflows(self, normal_checkpoint, tmp_path, capsys, command):
+        """Constant 1e200 rows overflow every attention logit, so each
+        softmax row is all -inf and comes back nan."""
+        err = self._run(command, normal_checkpoint[0], np.full((100, 3), 1e200), tmp_path, capsys)
+        assert err == ("numeric failure: non-finite reconstruction residual of series a "
+                       "at timestep 0\n")
+
+    def test_residual_times_rank_count_overflows(self, normal_checkpoint, tmp_path, capsys):
+        """Every residual is finite, but at timestep 73 its product with the
+        rank count, the anomaly score, is not."""
+        checkpoint, values = normal_checkpoint
+        err = self._run("score", checkpoint, values * 10**153.2, tmp_path, capsys)
+        assert err == "numeric failure: non-finite score at timestep 73\n"
 
 
 class TestCheckpointDecoding:
@@ -819,12 +886,20 @@ BOUNDARY_CASES = {
     "unknown_key": ("train", _TRAIN + "not_a_key = 7\n", 2, "config error: unknown keys"),
     "missing_data_file": ("train", "[train]\ndata = {out}.csv\nout = {out}\n", 3,
                           "data error: missing input file"),
+    # A file name longer than the OS allows (255 bytes on Linux file systems).
+    "train_data_name_too_long": ("train", "[train]\ndata = {dir}/" + "x" * 300 + "\nout = {out}\n",
+                                 3, "data error: {dir}/" + "x" * 300 + ": "),
+    "score_data_name_too_long": ("score", "[score]\ncheckpoint = {file}\ndata = {dir}/" + "x" * 300
+                                 + "\nout = {out}\n", 3, "data error: {dir}/" + "x" * 300 + ": "),
     "score_data_is_directory": ("score", "[score]\ncheckpoint = {file}\ndata = {dir}\n"
                                 "out = {out}\n", 3,
                                 "data error: {dir} is a directory, not a file\n"),
     "simulate_sigma1_negative": ("simulate", _SIM + "sigma1 = -1\n", 2,
                                  "config error: sigma1 must be"),
     "simulate_n_negative": ("simulate", _SIM + "n = -5\n", 2, "config error: n must be"),
+    **{f"simulate_n_{value}": ("simulate", _SIM + f"n = {value}\n", 2,
+                               "config error: n must be in [1, 1000000]\n")
+       for value in (2**31, 2**62, 2**63, 10**20)},
     "simulate_delta_nan": ("simulate", _SIM + "delta = nan\n", 2,
                            "config error: delta must be"),
     "simulate_t2_beyond_n": ("simulate", _SIM + "n = 250\n", 2,
@@ -915,3 +990,16 @@ def test_boundary_failure_is_one_line(tmp_path, capsys, case):
     assert [str(w.message) for w in caught] == []
     if code in (2, 3):
         assert not paths["out"].exists()
+
+
+def test_readme_command_line_chain(tmp_path, monkeypatch):
+    """README's config block and its six commands, run as written in an
+    empty directory: each exits 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "cfg.ini").write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    commands = re.findall(r"^alorat (.*?)\s*(?:#.*)?$", readme, re.M)
+    assert [c.split()[0] for c in commands] == [
+        "simulate", "train", "score", "localize", "eval", "star-check"]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(command.split()) == 0, command

@@ -531,6 +531,29 @@ class TestTrain:
         assert result.params.kernels.weights.tobytes() == init.kernels.weights.tobytes()
         assert result.params.layers[0].w_q.tobytes() != init.layers[0].w_q.tobytes()
 
+    @pytest.mark.parametrize("init_over, first", [
+        (dict(d_model=4, layers=1), "('kernels', (4, 2, 3)) differs from the config's "
+                                    "('kernels', (8, 2, 3))"),
+        (dict(d_model=8, layers=1), "('w_out', (8, 3)) differs from the config's "
+                                    "('w_q', (2, 8, 4))"),
+        (dict(d_model=8, layers=3), "('w_q', (2, 8, 4)) differs from the config's "
+                                    "('w_out', (8, 3))"),
+    ])
+    def test_warm_start_with_other_layout_is_rejected(self, monkeypatch, init_over, first):
+        """An init whose arrays differ from the config's layout raises before
+        any step, naming the first group that differs; trained as it is, it
+        would be saved as a checkpoint that does not load."""
+        frame = TimeSeriesFrame(values=np.random.default_rng(24).normal(size=(60, 3)),
+                                names=("a", "b", "c"))
+        init, _ = model.init_params(frame, tiny_cfg(**init_over), np.random.default_rng(3))
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(model, "_objective", no_step)
+        with pytest.raises(ValueError, match=re.escape(f"init array {first}")):
+            model.train(frame, tiny_cfg(d_model=8, layers=2), init=init)
+
 
 class TestObjective:
     """The training objective and its reverse pass against :func:`total_loss`."""
