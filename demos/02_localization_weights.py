@@ -16,24 +16,6 @@ from alorat import attention, data, embedding, localize, model
 W_V2 = np.array([[0.2, 0.7], [0.8, 0.3]])
 W_OUT = np.array([[0.1, 0.9], [0.9, 0.1]])
 
-print("=== A. closed forms on pinned matrices ===")
-print("two layers, value maps I and W_V2, output projection W_OUT")
-for skip in (False, True):
-    b = localize.compute_b([np.eye(2), W_V2], skip=skip)
-    c = localize.compute_c(localize.compute_e(None, b), W_OUT)
-    print(f"\nskip={skip}")
-    print("  B =", np.round(b, 3).tolist())
-    print("  C =", np.round(c, 3).tolist())
-print("""
-Row i of C says how strongly input series i drives each reconstructed
-series; without residual connections the columns sum to 1 here, so C reads
-as a propagation table: 35% of what lands in reconstruction 0 came from
-input 1, and so on.
-""")
-
-print("=== B. localization on a trained model ===")
-SEED = 3
-
 
 def pinned_encoder(rng):
     # identity feedthrough embedding, pinned value/output maps
@@ -54,6 +36,24 @@ def pinned_encoder(rng):
     ]
     return model.ModelParams(kernels=kernels, layers=layers, w_out=W_OUT.copy())
 
+
+print("=== A. closed forms on pinned matrices ===")
+print("two layers, value maps I and W_V2, output projection W_OUT")
+pinned = pinned_encoder(np.random.default_rng(0))  # query/key draws do not enter B or C
+for skip in (False, True):
+    weights = localize.contribution_weights(pinned, skip)
+    print(f"\nskip={skip}")
+    print("  B =", np.round(weights.b, 3).tolist())
+    print("  C =", np.round(weights.c, 3).tolist())
+print("""
+Row i of C says how strongly input series i drives each reconstructed
+series; without residual connections the columns sum to 1 here, so C reads
+as a propagation table: 35% of what lands in reconstruction 0 came from
+input 1, and so on.
+""")
+
+print("=== B. localization on a trained model ===")
+SEED = 3
 
 cfg = model.TrainConfig(t_window=16, d_model=2, heads=1, layers=2, lambda_reg=10.0,
                         learning_rate=1e-3, max_epochs=6, patience=6, k_pairs=1,

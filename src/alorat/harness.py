@@ -67,8 +67,8 @@ _SCHEMAS = {
         "out": ("str", "!required", None),
         "las": ("str", None, None),
         "loc_truth": ("str", None, None),
-        "t_window": ("int", 20, model_mod.at_least(1)),
-        "horizon": ("int", None, model_mod.at_least(1)),
+        "t_window": ("int", 20, model_mod.between(1, model_mod.MAX_SIZE)),
+        "horizon": ("int", None, model_mod.between(1, model_mod.MAX_SIZE)),
         "p_percents": ("str", "100,150", None),
         "label_column": ("str", "label", None),
     },
@@ -243,8 +243,9 @@ def cmd_eval(resolved: dict) -> int:
     if not p_percents:
         raise ConfigError("p_percents has no entries")
     for p in p_percents:
-        if not p.isdecimal() or int(p) < 1:
-            raise ConfigError(f"p_percents entry {p!r} is not an integer >= 1")
+        if not p.isdecimal() or not 1 <= int(p) <= model_mod.MAX_SIZE:
+            raise ConfigError(f"p_percents entry {p!r} is not an integer "
+                              f"in [1, {model_mod.MAX_SIZE}]")
     header, table = data_mod.read_table(_require_file(resolved["scores"]))
     if "anomaly_score" not in header:
         raise DataError(f"{resolved['scores']}: expected a scores CSV with an anomaly_score column")

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import attention
 from .data import write_table
-from .embedding import EmbeddingKernels
 
 EXACT_MODE = "exact"
 APPROX_MODE = "approximation (nonlinear path)"
@@ -39,58 +38,25 @@ class ContributionWeights:
     mode: str = EXACT_MODE
 
 
-def compute_b(value_maps, skip: bool) -> np.ndarray:
-    """Ordered product over layers of (W_v + I) with skip connections, or of
-    the W_v alone without them."""
-    maps = [np.asarray(w, dtype=np.float64) for w in value_maps]
-    if not maps:
-        raise ValueError("need at least one value map")
-    d_model = maps[0].shape[0]
-    for w in maps:
-        if w.shape != (d_model, d_model):
-            raise ValueError(f"value map shape {w.shape} != {(d_model, d_model)}")
-    eye = np.eye(d_model)
-    b = np.eye(d_model)
-    for w in maps:
+def contribution_weights(params, skip: bool, activation: str = "identity") -> ContributionWeights:
+    """B, E and C of trained model parameters.  B is the ordered product
+    over layers of each effective value map (plus I with skip connections);
+    E_ij = sum_k (lag-sum of series i's filter in channel k) * B_kj; and
+    C = E @ W_out."""
+    kernels = params.kernels
+    eye = np.eye(kernels.d_model)
+    b = np.eye(kernels.d_model)
+    for p in params.layers:
+        w = attention.effective_value_map(p)
         b = b @ (w + eye if skip else w)
-    return b
-
-
-def compute_e(kernels: EmbeddingKernels | None, b: np.ndarray) -> np.ndarray:
-    """Input-to-latent weights: E_ij = sum_k (lag-sum of series i's filter in
-    channel k) * b_kj.  Without an embedding the weights reduce to E = B."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("b must be square")
-    if kernels is None:
-        return b.copy()
-    if kernels.d_model != b.shape[0]:
-        raise ValueError(f"kernels have {kernels.d_model} channels, b is {b.shape[0]} wide")
     lag_sums = kernels.weights.sum(axis=2)  # (d_model, 2)
     series_weights = np.zeros((kernels.n_series, kernels.d_model))
     channel_idx = np.arange(kernels.d_model)
     np.add.at(series_weights, (kernels.pairs[:, 0], channel_idx), lag_sums[:, 0])
     np.add.at(series_weights, (kernels.pairs[:, 1], channel_idx), lag_sums[:, 1])
-    return series_weights @ b
-
-
-def compute_c(e: np.ndarray, w_out: np.ndarray) -> np.ndarray:
-    """Input-to-reconstruction weights C = E @ W_out."""
-    e = np.asarray(e, dtype=np.float64)
-    w_out = np.asarray(w_out, dtype=np.float64)
-    if e.shape[1] != w_out.shape[0]:
-        raise ValueError(f"inner dimensions {e.shape[1]} and {w_out.shape[0]} do not match")
-    return e @ w_out
-
-
-def contribution_weights(params, skip: bool, activation: str = "identity") -> ContributionWeights:
-    """Assemble B, E, C from trained model parameters."""
-    value_maps = [attention.effective_value_map(p) for p in params.layers]
-    b = compute_b(value_maps, skip)
-    e = compute_e(params.kernels, b)
-    c = compute_c(e, params.w_out)
+    e = series_weights @ b
     mode = EXACT_MODE if activation == "identity" else APPROX_MODE
-    return ContributionWeights(b=b, e=e, c=c, mode=mode)
+    return ContributionWeights(b=b, e=e, c=e @ params.w_out, mode=mode)
 
 
 def las(
@@ -110,7 +76,7 @@ def las(
         raise ValueError(f"residuals shape {r.shape} incompatible with c {c.shape}")
     if np.any(r < 0):
         raise ValueError("residuals must be non-negative")
-    weights = np.abs(c) if absolute else c.copy()
+    weights = np.abs(c) if absolute else c
     d = c.shape[0]
     if top_k is not None:
         if top_k < 1:
@@ -118,10 +84,9 @@ def las(
         if top_k > d:
             warnings.warn(f"top_k={top_k} exceeds d={d}; clamping", RuntimeWarning)
             top_k = d
+        keep = np.argsort(-weights, axis=1, kind="stable")[:, :top_k]
         masked = np.zeros_like(weights)
-        for i in range(d):
-            keep = rank_series(weights[i], top_k)
-            masked[i, keep] = weights[i, keep]
+        np.put_along_axis(masked, keep, np.take_along_axis(weights, keep, axis=1), axis=1)
         weights = masked
     return r @ weights.T
 

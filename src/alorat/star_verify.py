@@ -20,6 +20,7 @@ the same limits as a training config.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +135,10 @@ def verify_unrolled(
     """
     exact = activation == "identity"
     layers, z_ref = harvest_layers(layer_params, x_embedded, skip, mask, activation)
-    if skip:
-        candidate = unroll_skip(layers, x_embedded)
-        terms = 2 ** len(layer_params)
-    else:
-        candidate = unroll_no_skip(layers, x_embedded)
-        terms = 1
+    candidate = (unroll_skip if skip else unroll_no_skip)(layers, x_embedded)
+    # one term per head choice in every layer, where with skip connections
+    # leaving a layer out is one more choice: prod(H_l + 1), or prod(H_l)
+    terms = math.prod(len(heads) + skip for heads in layers)
     mode = ("skip" if skip else "no_skip") if exact else "approximation"
     return _error_report(mode, z_ref, candidate, terms, tolerance, assertable=exact)
 
@@ -157,7 +156,6 @@ def verify_ffn_regroup(b, w_ffn, tolerance: float = 1e-12) -> VerificationReport
     for k in range(b.shape[0]):
         for j in range(w.shape[1]):
             summed[k, j] = sum(w[r, j] * b[k, r] for r in range(b.shape[1]))
-    abs1 = float(np.max(np.abs(product - summed)))
 
     rng = np.random.Generator(np.random.PCG64(20240517))
     t_probe = 5
@@ -165,18 +163,9 @@ def verify_ffn_regroup(b, w_ffn, tolerance: float = 1e-12) -> VerificationReport
     x_probe = rng.normal(size=(t_probe, b.shape[0]))
     after = (a_t @ x_probe @ b) @ w
     regrouped = a_t @ x_probe @ product
-    abs2 = float(np.max(np.abs(after - regrouped)))
-
-    abs_err = max(abs1, abs2)
-    scale = max(float(np.max(np.abs(product))), float(np.max(np.abs(after))), 1e-300)
-    rel_err = abs_err / scale
-    return VerificationReport(
-        mode="ffn_regroup",
-        max_abs_error=abs_err,
-        max_rel_error=rel_err,
-        term_count=b.shape[1],
-        passed=rel_err <= tolerance,
-    )
+    return _error_report("ffn_regroup", np.concatenate([product.ravel(), after.ravel()]),
+                         np.concatenate([summed.ravel(), regrouped.ravel()]), b.shape[1],
+                         tolerance)
 
 
 # -- seeded verification grid -----------------------------------------------------

@@ -7,9 +7,6 @@ import pytest
 from alorat import attention, data, embedding, linalg, model
 from alorat.model import ModelParams, TrainConfig
 
-SIM_W_V2 = np.array([[0.2, 0.7], [0.8, 0.3]])
-SIM_W_OUT = np.array([[0.1, 0.9], [0.9, 0.1]])
-
 
 def controlled_sim_params(rng) -> ModelParams:
     """Two-layer one-head encoder with identity feedthrough embedding and
@@ -32,10 +29,10 @@ def controlled_sim_params(rng) -> ModelParams:
             w_q=qk(), w_k=qk(), w_v=np.eye(2)[None], w_proj=np.eye(2)
         ),
         attention.AttentionLayerParams(
-            w_q=qk(), w_k=qk(), w_v=SIM_W_V2[None].copy(), w_proj=np.eye(2)
+            w_q=qk(), w_k=qk(), w_v=np.array([[[0.2, 0.7], [0.8, 0.3]]]), w_proj=np.eye(2)
         ),
     ]
-    return ModelParams(kernels=kernels, layers=layers, w_out=SIM_W_OUT.copy())
+    return ModelParams(kernels=kernels, layers=layers, w_out=np.array([[0.1, 0.9], [0.9, 0.1]]))
 
 
 @pytest.fixture(scope="session")

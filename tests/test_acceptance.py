@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SIM_W_OUT as W_OUT, SIM_W_V2 as W_V2, controlled_sim_params
+from conftest import controlled_sim_params
 
 from alorat import attention, data, linalg, localize, metrics, model, star_verify
 from alorat.harness import main
@@ -363,10 +363,12 @@ def test_criterion_9_localization_closed_forms():
         np.testing.assert_allclose(got.e, e, atol=1e-12)
         np.testing.assert_allclose(got.c, c, atol=1e-12)
 
-    # pinned-matrix case, both readings
-    b_skip = localize.compute_b([np.eye(2), W_V2], skip=True)
-    np.testing.assert_allclose(b_skip, [[2.4, 1.4], [1.6, 2.6]], atol=1e-12)
-    b_ns = localize.compute_b([np.eye(2), W_V2], skip=False)
-    c_ns = localize.compute_c(localize.compute_e(None, b_ns), W_OUT)
-    np.testing.assert_allclose(c_ns, [[0.65, 0.25], [0.35, 0.75]], atol=1e-12)
+    # pinned-matrix case, both readings: value maps I and W_V2 behind an
+    # identity feedthrough embedding, so E is B
+    params = controlled_sim_params(np.random.default_rng(99))
+    skip = localize.contribution_weights(params, skip=True)
+    np.testing.assert_allclose(skip.b, [[2.4, 1.4], [1.6, 2.6]], atol=1e-12)
+    np.testing.assert_array_equal(skip.e, skip.b)
+    no_skip = localize.contribution_weights(params, skip=False)
+    np.testing.assert_allclose(no_skip.c, [[0.65, 0.25], [0.35, 0.75]], atol=1e-12)
     report(9, "contribution weights match brute-force sums")

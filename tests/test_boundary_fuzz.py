@@ -148,3 +148,26 @@ def test_fuzzed_training_data(tmp_path, capsys, case):
     capsys.readouterr()
     assert _run(tmp_path, "train", BASE["train"], files) == code
     _check(capsys, code)
+
+
+# Every integer key of every command at 10**400, past a float's range, on
+# the command's base config; max_epochs and configs are skipped because
+# they count work.
+HUGE_CASES = [(command, key) for command, schema in _SCHEMAS.items()
+              for key, (kind, _, _) in schema.items()
+              if kind == "int" and key not in ("max_epochs", "configs")]
+
+
+@pytest.mark.parametrize("command,key", HUGE_CASES, ids=[f"{c}-{k}" for c, k in HUGE_CASES])
+def test_integer_key_at_10_pow_400(inputs, tmp_path, capsys, command, key):
+    files = {**inputs, "out": tmp_path / "out"}
+    settings = {**BASE[command], key: str(10**400)}
+    capsys.readouterr()
+    code = _run(tmp_path, command, settings, files)
+    err = capsys.readouterr().err
+    assert err.count("\n") <= 1, err
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    expected = _expected_error(command, {key: settings[key]})
+    if expected is not None:
+        assert code == 2 and err == expected[0], err

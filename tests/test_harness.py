@@ -915,9 +915,19 @@ BOUNDARY_CASES = {
     "localize_top_k_zero": ("localize", "[localize]\ncheckpoint = {file}\ndata = {data}\n"
                             "out = {out}\ntop_k = 0\n", 2, "config error: top_k must be >= 1\n"),
     "eval_t_window_zero": ("eval", _EVAL + "t_window = 0\n", 2,
-                           "config error: t_window must be >= 1\n"),
+                           "config error: t_window must be in [1, 1000000]\n"),
     "eval_horizon_zero": ("eval", _EVAL + "horizon = 0\n", 2,
-                          "config error: horizon must be >= 1\n"),
+                          "config error: horizon must be in [1, 1000000]\n"),
+    # Past a float's range: rejected before the affiliation metric turns
+    # them into floats.
+    "eval_t_window_10pow400": ("eval", _EVAL + f"t_window = {10**400}\n", 2,
+                             "config error: t_window must be in [1, 1000000]\n"),
+    "eval_horizon_2pow1100": ("eval", _EVAL + f"horizon = {2**1100}\n", 2,
+                            "config error: horizon must be in [1, 1000000]\n"),
+    "eval_p_percents_10pow400": ("eval", _EVAL + f"las = {{file}}\nloc_truth = {{file}}\n"
+                               f"p_percents = 100,{10**400}\n", 2,
+                               f"config error: p_percents entry '{10**400}' is not an integer "
+                               "in [1, 1000000]\n"),
     "eval_scores_without_column": ("eval", "[eval]\nscores = {data}\ndata = {data}\n"
                                    "out = {out}\n", 3, "data error: {data}: expected a scores "
                                    "CSV with an anomaly_score column\n"),

@@ -1,42 +1,77 @@
 import numpy as np
 import pytest
 
+from conftest import controlled_sim_params
+
 from alorat import attention, embedding, localize, model
 from alorat.model import TrainConfig
 
-W_V2 = np.array([[0.2, 0.7], [0.8, 0.3]])
-W_OUT = np.array([[0.1, 0.9], [0.9, 0.1]])
+
+def hand_params(value_maps, w_out=None, kernels=None):
+    """A model of one-head layers with the given value maps (w_proj = I),
+    behind the identity feedthrough embedding unless `kernels` is given."""
+    d_model = value_maps[0].shape[0]
+    if kernels is None:
+        weights = np.zeros((d_model, 2, 3))
+        weights[:, 0, 1] = 1.0  # channel k passes series k through unchanged
+        channels = np.arange(d_model)
+        kernels = embedding.EmbeddingKernels(
+            n_series=d_model, pairs=np.column_stack([channels, (channels + 1) % d_model]),
+            weights=weights)
+    layers = [
+        attention.AttentionLayerParams(
+            w_q=np.zeros((1, w.shape[0], w.shape[0])), w_k=np.zeros((1, w.shape[0], w.shape[0])),
+            w_v=np.asarray(w, dtype=np.float64)[None], w_proj=np.eye(w.shape[0]))
+        for w in value_maps
+    ]
+    if w_out is None:
+        w_out = np.eye(d_model, kernels.n_series)
+    return model.ModelParams(kernels=kernels, layers=layers, w_out=w_out)
+
+
+def random_params(d, d_model, seed):
+    """A freshly initialized one-head model of d_model channels on d series."""
+    cfg = TrainConfig(d_model=d_model, heads=1, k_pairs=6)
+    rng = np.random.default_rng(seed)
+    return model.init_params(rng.normal(size=(40, d)), cfg, rng)[0]
 
 
 class TestComputeB:
     def test_single_identity_layer_with_skip(self):
-        np.testing.assert_array_equal(localize.compute_b([np.eye(3)], skip=True), 2 * np.eye(3))
+        b = localize.contribution_weights(hand_params([np.eye(3)]), skip=True).b
+        np.testing.assert_array_equal(b, 2 * np.eye(3))
 
     def test_two_layers_without_skip(self):
         rng = np.random.default_rng(0)
         w1, w2 = rng.normal(size=(2, 4, 4))
-        np.testing.assert_allclose(localize.compute_b([w1, w2], skip=False), w1 @ w2, atol=1e-12)
+        b = localize.contribution_weights(hand_params([w1, w2]), skip=False).b
+        np.testing.assert_allclose(b, w1 @ w2, atol=1e-12)
 
     def test_fixed_matrices_with_skip(self):
-        b = localize.compute_b([np.eye(2), W_V2], skip=True)
+        params = controlled_sim_params(np.random.default_rng(0))
+        b = localize.contribution_weights(params, skip=True).b
         np.testing.assert_allclose(b, [[2.4, 1.4], [1.6, 2.6]], atol=1e-12)
 
     def test_ordering_left_to_right(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         c = np.array([[1.0, 0.0], [2.0, 0.0]])
-        np.testing.assert_allclose(localize.compute_b([a, c], skip=False), a @ c, atol=1e-15)
+        b = localize.contribution_weights(hand_params([a, c]), skip=False).b
+        np.testing.assert_allclose(b, a @ c, atol=1e-15)
         assert not np.allclose(a @ c, c @ a)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            localize.compute_b([np.eye(2), np.eye(3)], skip=True)
+            localize.contribution_weights(hand_params([np.eye(2), np.eye(3)]), skip=True)
 
 
 class TestComputeE:
     def test_no_embedding_reduces_to_b(self):
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(3, 3))
-        np.testing.assert_array_equal(localize.compute_e(None, b), b)
+        """A feedthrough embedding, which passes each series to one channel
+        unchanged, leaves E = B bit for bit."""
+        w1, w2 = np.random.default_rng(1).normal(size=(2, 3, 3))
+        for skip in (False, True):
+            weights = localize.contribution_weights(hand_params([w1, w2]), skip)
+            np.testing.assert_array_equal(weights.e, weights.b)
 
     def test_zero_lag_sums(self):
         kernels = embedding.EmbeddingKernels(
@@ -46,15 +81,15 @@ class TestComputeE:
                 [[[1.0, -2.0, 1.0], [0.5, 0.0, -0.5]], [[2.0, -1.0, -1.0], [0.0, 0.0, 0.0]]]
             ),
         )
-        e = localize.compute_e(kernels, np.random.default_rng(2).normal(size=(2, 2)))
+        rng = np.random.default_rng(2)
+        params = hand_params([rng.normal(size=(2, 2))], rng.normal(size=(2, 3)), kernels)
+        e = localize.contribution_weights(params, skip=False).e
         np.testing.assert_allclose(e, np.zeros((3, 2)), atol=1e-12)
 
     def test_against_double_sum_oracle(self):
-        rng = np.random.default_rng(3)
-        cfg = TrainConfig(d_model=5, heads=1, kernel_size=3, k_pairs=6)
-        kernels = model.init_params(rng.normal(size=(40, 4)), cfg, rng)[0].kernels
-        b = rng.normal(size=(5, 5))
-        e = localize.compute_e(kernels, b)
+        params = random_params(4, 5, 3)
+        weights = localize.contribution_weights(params, skip=False)
+        kernels, b = params.kernels, weights.b
 
         expected = np.zeros((4, 5))
         for i in range(4):
@@ -65,35 +100,36 @@ class TestComputeE:
                         if kernels.pairs[k, slot] == i:
                             w_sum += kernels.weights[k, slot].sum()
                     expected[i, j] += w_sum * b[k, j]
-        np.testing.assert_allclose(e, expected, atol=1e-12)
+        np.testing.assert_allclose(weights.e, expected, atol=1e-12)
 
 
 class TestComputeC:
     def test_identity_output_projection(self):
-        rng = np.random.default_rng(4)
-        e = rng.normal(size=(3, 3))
-        np.testing.assert_allclose(localize.compute_c(e, np.eye(3)), e, atol=1e-15)
+        params = hand_params([np.random.default_rng(4).normal(size=(3, 3))], np.eye(3))
+        weights = localize.contribution_weights(params, skip=True)
+        np.testing.assert_allclose(weights.c, weights.e, atol=1e-15)
 
     def test_fixed_matrices_no_skip(self):
-        b = localize.compute_b([np.eye(2), W_V2], skip=False)
-        c = localize.compute_c(localize.compute_e(None, b), W_OUT)
+        params = controlled_sim_params(np.random.default_rng(0))
+        c = localize.contribution_weights(params, skip=False).c
         np.testing.assert_allclose(c, [[0.65, 0.25], [0.35, 0.75]], atol=1e-12)
 
     def test_entrywise_sum_equals_product(self):
-        rng = np.random.default_rng(5)
-        e = rng.normal(size=(4, 6))
-        w_out = rng.normal(size=(6, 4))
-        c = localize.compute_c(e, w_out)
+        params = random_params(4, 6, 5)
+        weights = localize.contribution_weights(params, skip=True)
+        e, w_out = weights.e, params.w_out
         expected = np.zeros((4, 4))
         for i in range(4):
             for j in range(4):
                 for k in range(6):
                     expected[i, j] += w_out[k, j] * e[i, k]
-        np.testing.assert_allclose(c, expected, atol=1e-12)
+        np.testing.assert_allclose(weights.c, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            localize.compute_c(np.zeros((2, 3)), np.zeros((4, 2)))
+        """A w_out of the wrong height never reaches the product: the model
+        refuses it."""
+        with pytest.raises(ValueError, match="w_out shape"):
+            hand_params([np.eye(2)], np.zeros((3, 2)))
 
 
 class TestLas:
@@ -139,6 +175,25 @@ class TestLas:
         out = localize.las(c, r, top_k=1)
         np.testing.assert_allclose(out[0], [5.0, 3.0, 1.0])
 
+    def test_top_k_matches_row_loop_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            c = np.round(rng.normal(size=(6, 6)), 1)  # rounding makes ties
+            r = rng.uniform(size=(4, 6))
+            for k in (1, 3, 6):
+                for absolute in (False, True):
+                    weights = np.abs(c) if absolute else c
+                    masked = np.zeros_like(c)
+                    for i in range(6):
+                        keep = sorted(range(6), key=lambda j: (-weights[i, j], j))[:k]
+                        masked[i, keep] = weights[i, keep]
+                    np.testing.assert_array_equal(localize.las(c, r, k, absolute), r @ masked.T)
+
+    def test_top_k_tie_keeps_lower_series_index(self):
+        # row 0 ties series 0 and 1; keeping series 1 would give 5.0
+        out = localize.las(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 5.0]]), top_k=1)
+        assert out[0, 0] == 1.0
+
     def test_rejects_negative_residuals(self):
         with pytest.raises(ValueError):
             localize.las(np.eye(2), np.array([[1.0, -0.1]]))
@@ -170,16 +225,14 @@ class TestContributionWeights:
         cfg = TrainConfig(t_window=8, d_model=4, heads=2, layers=3, k_pairs=4, seed=0)
         values = np.random.default_rng(12).normal(size=(40, 3))
         params, _ = model.init_params(values, cfg, np.random.default_rng(13))
+        maps = [attention.effective_value_map(p) for p in params.layers]
         for skip in (False, True):
             weights = localize.contribution_weights(params, skip)
-            maps = [attention.effective_value_map(p) for p in params.layers]
-            np.testing.assert_allclose(weights.b, localize.compute_b(maps, skip), atol=1e-12)
-            np.testing.assert_allclose(
-                weights.e, localize.compute_e(params.kernels, weights.b), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                weights.c, localize.compute_c(weights.e, params.w_out), atol=1e-12
-            )
+            b = np.eye(4)
+            for w in maps:
+                b = b @ (w + np.eye(4) if skip else w)
+            np.testing.assert_allclose(weights.b, b, atol=1e-12)
+            np.testing.assert_array_equal(weights.c, weights.e @ params.w_out)
             assert weights.mode == localize.EXACT_MODE
         approx = localize.contribution_weights(params, True, activation="gelu")
         assert approx.mode == localize.APPROX_MODE

@@ -89,6 +89,13 @@ class TestVerifyUnrolled:
             assert report.passed
             assert report.max_rel_error <= 1e-9
 
+    def test_multi_head_term_count(self):
+        # two layers of two heads: (1+2)**2 terms with skip, 2**2 without
+        params = make_stack(4, 2, 2, 20)
+        x = np.random.default_rng(21).normal(size=(5, 4))
+        assert star_verify.verify_unrolled(params, x, skip=True).term_count == 9
+        assert star_verify.verify_unrolled(params, x, skip=False).term_count == 4
+
     def test_gelu_reports_approximation(self):
         params = make_stack(4, 1, 2, 16)
         x = np.random.default_rng(17).normal(size=(6, 4))
