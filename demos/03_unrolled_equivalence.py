@@ -1,9 +1,11 @@
 """The encoder's forward pass equals an explicit algebraic expansion.
 
-Without residual connections the stack collapses into (attention products)
-@ input @ (value products); with them it expands into one term per subset
-of layers.  This demo certifies both numerically on random models and
-shows what breaks when a nonlinearity is inserted.
+The stack unrolls into a sum over one (attention, value) choice per layer
+of (attention products) @ input @ (value products).  A residual connection
+adds one more choice to each layer, the identity pair (I_T, I_d_model), so
+skip and no-skip stacks share the one expansion.  This demo certifies both
+numerically on random models and shows what breaks when a nonlinearity is
+inserted.
 
     python3 demos/03_unrolled_equivalence.py
 """
@@ -21,13 +23,14 @@ params = [attention.init_layer_params(d_model, 1, np.random.default_rng(10 + l))
 x = rng.normal(size=(t_window, d_model))
 
 harvested, z_forward = star_verify.harvest_layers(params, x, skip=True)
-z_unrolled = star_verify.unroll_skip(harvested, x)
+z_unrolled = star_verify.unroll(harvested, x)
 print(f"L={layers}, T={t_window}, d_model={d_model}, residual connections on")
-print(f"subset terms: 2^L = {2**layers} (identity term included)")
+print(f"choices per layer: {len(harvested[0])} (one head, then the identity pair)")
+print(f"terms: 2^L = {np.prod([len(choices) for choices in harvested])}")
 print(f"max |forward - unrolled| = {np.abs(z_forward - z_unrolled).max():.3e}")
 
 no_skip_layers, z_ns = star_verify.harvest_layers(params, x, skip=False)
-row = star_verify.unroll_no_skip(no_skip_layers, x)[t_window - 1]
+row = star_verify.unroll(no_skip_layers, x)[t_window - 1]
 print(f"no-skip last-row product form error = {np.abs(row - z_ns[-1]).max():.3e}")
 
 print("\n=== verification grid (the acceptance configuration) ===")

@@ -344,17 +344,19 @@ def cmd_star_check(resolved: dict) -> int:
     results = star_verify.run_grid(
         n=resolved["configs"], base_seed=resolved["seed"], tolerance=resolved["tolerance"]
     )
-    lines, all_pass = [], True
+    lines, failed = [], 0
     for config, reports in results:
         for mode in ("skip", "no_skip"):
             lines.append(f"{star_verify.describe(config)} {reports[mode].line()}")
-            all_pass = all_pass and reports[mode].passed is not False
-    lines.append(f"aggregate={'PASS' if all_pass else 'FAIL'} configs={len(results)}")
+            failed += reports[mode].passed is False
+    lines.append(f"aggregate={'FAIL' if failed else 'PASS'} configs={len(results)}")
     print("\n".join(lines))
     if out is not None:
         with open(out / "star_report.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    return 0 if all_pass else 4
+    if failed:
+        raise NumericError(f"{failed} STAR reports exceed the tolerance {resolved['tolerance']}")
+    return 0
 
 
 _COMMANDS = {

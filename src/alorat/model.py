@@ -123,6 +123,16 @@ def param_layout(cfg: TrainConfig, d_in: int) -> list[tuple[str, tuple[int, ...]
             + [("w_out", (cfg.d_model, d_in))])
 
 
+def _check_layout(label: str, params: ModelParams, cfg: TrainConfig, d_in: int):
+    """Raise ValueError naming the first of ``params``' arrays whose group
+    or shape differs from :func:`param_layout`."""
+    have = [(name, a.shape) for name, a in params.arrays()]
+    # Layouts of other lengths already differ where the shorter has w_out.
+    for got, want in zip(have, param_layout(cfg, d_in)):
+        if got != want:
+            raise ValueError(f"{label} array {got} differs from the config's {want}")
+
+
 _LAYER_ARRAYS = tuple(name for name, _ in attention.layer_shapes(1, 1))
 
 
@@ -135,6 +145,10 @@ class ModelParams:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValueError("need at least one attention layer")
+        for i, layer in enumerate(self.layers):
+            if layer.d_model != self.kernels.d_model:
+                raise ValueError(f"layer {i} d_model {layer.d_model} != embedding d_model "
+                                 f"{self.kernels.d_model}")
         want = (self.kernels.d_model, self.d_in)
         if self.w_out.shape != want:
             raise ValueError(f"w_out shape {self.w_out.shape} != (d_model, d) {want}")
@@ -381,11 +395,7 @@ def train(
     if init is None:
         params, selection = init_params(train_frame, cfg, rng)
     else:
-        have = [(name, a.shape) for name, a in init.arrays()]
-        # Layouts of other lengths already differ where the shorter has w_out.
-        for got, want in zip(have, param_layout(cfg, train_frame.d)):
-            if got != want:
-                raise ValueError(f"init array {got} differs from the config's {want}")
+        _check_layout("init", init, cfg, train_frame.d)
         params = init.copy()
         selection = embedding.select_pairs(train_frame, cfg.k_pairs, cfg.pair_method)
     trained = [name in groups for name, _ in params.arrays()]
@@ -522,7 +532,10 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, h1: float,
     (d_model, 2) channel pairs as int64, the :meth:`ModelParams.arrays` in
     order, and the normalization mean and std.  The CRC-32 (zlib, 8 hex
     digits) covers the header lines before it and the blocks.  The header
-    text is also written to ``<path>.manifest.txt``."""
+    text is also written to ``<path>.manifest.txt``.  Parameters whose
+    arrays differ from ``param_layout(cfg, params.d_in)`` raise ValueError
+    before anything is written."""
+    _check_layout("saved", params, cfg, params.d_in)
     header = {**asdict(cfg), "d_in": params.d_in, "h1": float(h1), "norm_stats": True}
     text = CHECKPOINT_MAGIC + "\n" + "".join(f"{key}={value}\n" for key, value in header.items())
     blocks = [a for _, a in params.arrays()] + [norm_stats.mean, norm_stats.std]

@@ -1,14 +1,13 @@
 """Numerical certification that the layer-by-layer forward pass equals its
-unrolled algebraic forms.
+unrolled algebraic form.
 
-Without residual connections the stack collapses to a single left product
-of attention matrices and right product of value maps around the embedded
-input; with residual connections it expands into one term per subset of
-layers (descending attention order on the left, ascending value order on
-the right) plus the identity term.  Attention matrices are harvested from
-the genuine forward pass, since each layer's matrix depends on the
-realized input of that layer; with multiple heads each subset term expands
-over per-head attention/value pairs.
+Each layer computes sum_h S_h z W_h, plus z itself with a residual
+connection, so the residual branch is one more (attention, value) choice:
+the pair (I_T, I_d_model).  The stack then unrolls into one expansion, a
+sum over one choice per layer of the descending attention product times
+the embedded input times the ascending value product.  Attention matrices
+are harvested from the genuine forward pass, since each layer's matrix
+depends on the realized input of that layer.
 
 The regrouping check confirms that a linear map applied after the latent
 stage folds into the value-side weights (b~ = b @ w) entrywise.
@@ -49,58 +48,37 @@ class VerificationReport:
         )
 
 
-def _check_layers(layers):
-    if not layers:
-        raise ValueError("need at least one layer")
-    for heads in layers:
-        if not heads:
-            raise ValueError("each layer needs at least one (attention, value) pair")
-
-
-def unroll_no_skip(layers, x_embedded) -> np.ndarray:
-    """Explicit product form: sum over per-layer head choices of
+def unroll(layers, x_embedded) -> np.ndarray:
+    """The expansion: the sum over one (S, W) choice per layer of
     S^(L)...S^(1) @ X~ @ W^(1)...W^(L).  `layers` is a sequence of
     [(S_h, W_h), ...] per layer; returns the T x d_model matrix."""
-    _check_layers(layers)
+    if not layers or not all(layers):
+        raise ValueError("need at least one layer, each with an (attention, value) pair")
     x = np.asarray(x_embedded, dtype=np.float64)
     total = np.zeros_like(x)
-    for combo in itertools.product(*[range(len(heads)) for heads in layers]):
-        left = layers[0][combo[0]][0]
-        right = layers[0][combo[0]][1]
-        for l in range(1, len(layers)):
-            left = layers[l][combo[l]][0] @ left
-            right = right @ layers[l][combo[l]][1]
+    for (left, right), *rest in itertools.product(*layers):
+        for s, w in rest:
+            left = s @ left
+            right = right @ w
         total += left @ x @ right
-    return total
-
-
-def unroll_skip(layers, x_embedded) -> np.ndarray:
-    """Subset expansion with residual connections: X~ plus, for every
-    nonempty subset of layers, the descending attention product times X~
-    times the ascending value product (expanded over head choices)."""
-    _check_layers(layers)
-    x = np.asarray(x_embedded, dtype=np.float64)
-    total = x.copy()
-    indices = range(len(layers))
-    for size in range(1, len(layers) + 1):
-        for subset in itertools.combinations(indices, size):
-            total += unroll_no_skip([layers[i] for i in subset], x)
     return total
 
 
 def harvest_layers(layer_params, x_embedded, skip: bool, mask=None, activation: str = "identity"):
     """Run the real forward pass, collecting per-layer per-head attention
-    matrices paired with per-head effective value maps.
+    matrices paired with per-head effective value maps; with `skip` each
+    layer's list ends with the residual branch's (I_T, I_d_model) pair.
 
-    Returns (layers, z_final) where `layers` feeds the unroll functions and
+    Returns (layers, z_final) where `layers` feeds :func:`unroll` and
     `z_final` is the forward-pass reference output.
     """
     z = np.asarray(x_embedded, dtype=np.float64)
+    residual = [(np.eye(z.shape[0]), np.eye(z.shape[1]))] if skip else []
     layers = []
     for p in layer_params:
         z, _, s_heads, _ = attention.forward_t(
             z, p.w_q, p.w_k, p.w_v, p.w_proj, skip, activation, mask)
-        layers.append(list(zip(s_heads, attention.per_head_value_maps(p))))
+        layers.append(list(zip(s_heads, attention.per_head_value_maps(p))) + residual)
     return layers, z
 
 
@@ -135,12 +113,11 @@ def verify_unrolled(
     """
     exact = activation == "identity"
     layers, z_ref = harvest_layers(layer_params, x_embedded, skip, mask, activation)
-    candidate = (unroll_skip if skip else unroll_no_skip)(layers, x_embedded)
-    # one term per head choice in every layer, where with skip connections
-    # leaving a layer out is one more choice: prod(H_l + 1), or prod(H_l)
-    terms = math.prod(len(heads) + skip for heads in layers)
+    # one term per choice in every layer: prod(H_l + 1) with skip, prod(H_l) without
+    terms = math.prod(map(len, layers))
     mode = ("skip" if skip else "no_skip") if exact else "approximation"
-    return _error_report(mode, z_ref, candidate, terms, tolerance, assertable=exact)
+    return _error_report(mode, z_ref, unroll(layers, x_embedded), terms, tolerance,
+                         assertable=exact)
 
 
 def verify_ffn_regroup(b, w_ffn, tolerance: float = 1e-12) -> VerificationReport:

@@ -671,6 +671,21 @@ class TestStarCheckCommand:
         assert (tmp_path / "sc" / "star_report.txt").exists()
         assert (tmp_path / "sc" / "resolved_config.ini").exists()
 
+    def test_failed_report_is_one_numeric_failure_line(self, tmp_path, capsys):
+        """A tolerance no report meets: the report is written in full, then
+        the failure is one stderr line with exit 4."""
+        cfg = tmp_path / "sc.ini"
+        write_config(cfg, {"star-check": {"configs": 2, "tolerance": "1e-300",
+                                          "out": tmp_path / "sc"}})
+        assert main(["star-check", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.endswith("aggregate=FAIL configs=2\n")
+        assert captured.err.startswith("numeric failure: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "tolerance 1e-300" in captured.err
+        report = (tmp_path / "sc" / "star_report.txt").read_text(encoding="utf-8")
+        assert report == captured.out
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical_scores(self, workspace):

@@ -63,6 +63,16 @@ class TestModelParams:
         with pytest.raises(ValueError, match=r"w_out shape \(2, 3\)"):
             ModelParams(kernels=params.kernels, layers=params.layers, w_out=np.zeros((2, 3)))
 
+    def test_layer_width_must_match_the_embedding(self):
+        """Before the check, layers of width 2 and 3 behind a 2-channel
+        embedding were accepted, and the closed forms then failed on
+        numpy's broadcast message, which names no layer."""
+        params = zero_params(tiny_cfg(d_model=2, heads=1), 4)
+        wide = zero_params(tiny_cfg(d_model=3, heads=1), 4).layers[0]
+        with pytest.raises(ValueError, match=r"layer 1 d_model 3 != embedding d_model 2"):
+            ModelParams(kernels=params.kernels, layers=[params.layers[0], wide],
+                        w_out=params.w_out)
+
 
 class TestForward:
     def test_zero_everything_reconstructs_zero(self):
@@ -631,6 +641,20 @@ class TestCheckpoint:
                               unit_stats(result.params.d_in))
         loaded, _, _, _ = model.load_checkpoint(path)
         assert loaded.kernels.pairs.tobytes() == result.params.kernels.pairs.tobytes()
+
+    def test_params_that_disagree_with_the_config_are_refused(self, tmp_path):
+        """A second layer of 2 heads saved under heads=1: (2, 4, 2) and
+        (1, 4, 4) hold as many floats, so the file would pass its CRC and
+        load as another model.  Refused before anything is written."""
+        cfg = tiny_cfg(d_model=4, heads=1, layers=2)
+        params = random_params(cfg, 3, seed=45)
+        two_heads = random_params(tiny_cfg(d_model=4, heads=2, layers=1), 3, seed=46)
+        params.layers[1] = two_heads.layers[0]
+        path = tmp_path / "m.alora"
+        with pytest.raises(ValueError, match=re.escape(
+                "saved array ('w_q', (2, 4, 2)) differs from the config's ('w_q', (1, 4, 4))")):
+            model.save_checkpoint(path, params, cfg, 0.5, unit_stats(3))
+        assert not path.exists()
 
     def test_roundtrip(self, tmp_path):
         cfg = tiny_cfg(mask="causal", activation="gelu", pair_method="pearson")

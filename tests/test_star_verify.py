@@ -17,14 +17,14 @@ class TestUnrollNoSkip:
         params = make_stack(4, 1, 1, 0)
         x = np.random.default_rng(1).normal(size=(6, 4))
         layers, z_ref = star_verify.harvest_layers(params, x, skip=False)
-        out = star_verify.unroll_no_skip(layers, x)
+        out = star_verify.unroll(layers, x)
         np.testing.assert_allclose(out, z_ref, atol=1e-12)
 
     def test_three_layers_match_forward(self):
         params = make_stack(4, 1, 3, 2)
         x = np.random.default_rng(3).normal(size=(8, 4))
         layers, z_ref = star_verify.harvest_layers(params, x, skip=False)
-        out = star_verify.unroll_no_skip(layers, x)
+        out = star_verify.unroll(layers, x)
         rel = np.abs(out - z_ref).max() / np.abs(z_ref).max()
         assert rel <= 1e-6
 
@@ -35,7 +35,7 @@ class TestUnrollNoSkip:
         x = np.random.default_rng(7).normal(size=(5, 3))
         layers, _ = star_verify.harvest_layers(params, x, skip=False)
         ident_layers = [[(s, np.eye(3)) for s, _ in layer] for layer in layers]
-        out = star_verify.unroll_no_skip(ident_layers, x)
+        out = star_verify.unroll(ident_layers, x)
         expected = ident_layers[1][0][0] @ (ident_layers[0][0][0] @ x)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -47,7 +47,7 @@ class TestUnrollSkip:
         layers, z_ref = star_verify.harvest_layers(params, x, skip=True)
         s, w = layers[0][0]
         np.testing.assert_allclose(x + s @ x @ w, z_ref, atol=1e-12)
-        np.testing.assert_allclose(star_verify.unroll_skip(layers, x), z_ref, atol=1e-12)
+        np.testing.assert_allclose(star_verify.unroll(layers, x), z_ref, atol=1e-12)
 
     def test_zero_values_leave_identity_term(self):
         params = make_stack(4, 2, 2, 10)
@@ -56,15 +56,40 @@ class TestUnrollSkip:
         x = np.random.default_rng(11).normal(size=(5, 4))
         layers, z_ref = star_verify.harvest_layers(params, x, skip=True)
         np.testing.assert_allclose(z_ref, x, atol=1e-12)
-        np.testing.assert_allclose(star_verify.unroll_skip(layers, x), x, atol=1e-12)
+        np.testing.assert_allclose(star_verify.unroll(layers, x), x, atol=1e-12)
 
     def test_three_layer_expansion(self):
         params = make_stack(4, 1, 3, 12)
         x = np.random.default_rng(13).normal(size=(8, 4))
         layers, z_ref = star_verify.harvest_layers(params, x, skip=True)
-        out = star_verify.unroll_skip(layers, x)
+        out = star_verify.unroll(layers, x)
         rel = np.abs(out - z_ref).max() / np.abs(z_ref).max()
         assert rel <= 1e-6
+
+
+class TestExpansion:
+    def test_skip_appends_one_identity_pair_per_layer(self):
+        params = make_stack(4, 2, 3, 22)
+        x = np.random.default_rng(23).normal(size=(6, 4))
+        with_skip, _ = star_verify.harvest_layers(params, x, skip=True)
+        without, _ = star_verify.harvest_layers(params, x, skip=False)
+        for layer, plain in zip(with_skip, without):
+            assert len(layer) == len(plain) + 1 == 3
+            s_res, w_res = layer[-1]
+            np.testing.assert_array_equal(s_res, np.eye(6))
+            np.testing.assert_array_equal(w_res, np.eye(4))
+            for heads in (layer[:-1], plain):
+                assert not any(np.array_equal(s, np.eye(6)) for s, _ in heads)
+
+    def test_hand_built_two_layer_expansion(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(5, 3))
+        s1, s2 = rng.normal(size=(2, 5, 5))
+        w1, w2 = rng.normal(size=(2, 3, 3))
+        ident = (np.eye(5), np.eye(3))
+        out = star_verify.unroll([[(s1, w1), ident], [(s2, w2), ident]], x)
+        expected = x + s1 @ x @ w1 + s2 @ x @ w2 + s2 @ s1 @ x @ w1 @ w2
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestVerifyUnrolled:
