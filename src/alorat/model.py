@@ -123,14 +123,24 @@ def param_layout(cfg: TrainConfig, d_in: int) -> list[tuple[str, tuple[int, ...]
             + [("w_out", (cfg.d_model, d_in))])
 
 
-def _check_layout(label: str, params: ModelParams, cfg: TrainConfig, d_in: int):
-    """Raise ValueError naming the first of ``params``' arrays whose group
-    or shape differs from :func:`param_layout`."""
-    have = [(name, a.shape) for name, a in params.arrays()]
+def _body_layout(cfg: TrainConfig, d_in: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The checkpoint body as (block name, shape) pairs in file order: the
+    channel pairs (int64), the :func:`param_layout` arrays, then the
+    normalization mean and std (float64)."""
+    return ([("pairs", (cfg.d_model, 2))] + param_layout(cfg, d_in)
+            + [("mean", (d_in,)), ("std", (d_in,))])
+
+
+def _check_layout(label: str, arrays: list[tuple[str, np.ndarray]], layout):
+    """Raise ValueError naming the first of the (name, array) ``arrays``
+    whose name or shape differs from ``layout`` or that holds a non-finite
+    value."""
     # Layouts of other lengths already differ where the shorter has w_out.
-    for got, want in zip(have, param_layout(cfg, d_in)):
-        if got != want:
-            raise ValueError(f"{label} array {got} differs from the config's {want}")
+    for (name, a), want in zip(arrays, layout):
+        if (name, a.shape) != want:
+            raise ValueError(f"{label} array {(name, a.shape)} differs from the config's {want}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{label} array {name!r} holds a non-finite value")
 
 
 _LAYER_ARRAYS = tuple(name for name, _ in attention.layer_shapes(1, 1))
@@ -375,9 +385,9 @@ def train(
     of the final layer over the full training sequence set h1.
 
     ``init`` warm-starts from a copy of existing parameters, channel pairs
-    included, and must have the arrays of :func:`param_layout`; ``trainable``
-    restricts the optimized groups (subset of :data:`PARAM_GROUPS`), leaving
-    the rest frozen.
+    included, and must have finite arrays in :func:`param_layout`;
+    ``trainable`` restricts the optimized groups (subset of
+    :data:`PARAM_GROUPS`), leaving the rest frozen.
     """
     groups = set(PARAM_GROUPS if trainable is None else trainable)
     unknown = groups - set(PARAM_GROUPS)
@@ -395,7 +405,7 @@ def train(
     if init is None:
         params, selection = init_params(train_frame, cfg, rng)
     else:
-        _check_layout("init", init, cfg, train_frame.d)
+        _check_layout("init", init.arrays(), param_layout(cfg, train_frame.d))
         params = init.copy()
         selection = embedding.select_pairs(train_frame, cfg.k_pairs, cfg.pair_method)
     trained = [name in groups for name, _ in params.arrays()]
@@ -524,25 +534,32 @@ def score_frame(
 _HEADER_EXTRAS = {"d_in": "int", "h1": "float", "norm_stats": "bool"}
 
 
+def _check_body(label: str, blocks: list[tuple[str, np.ndarray]], layout, h1: float):
+    """:func:`_check_layout` of checkpoint ``blocks`` against their
+    :func:`_body_layout`, then a std >= 0 and a finite h1 >= 0."""
+    _check_layout(label, blocks, layout)
+    if (blocks[-1][1] < 0).any():
+        raise ValueError(f"{label} array 'std' holds a negative value")
+    if not 0 <= h1 < math.inf:
+        raise ValueError(f"h1={h1} is not a finite value >= 0")
+
+
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, h1: float,
                     norm_stats: NormStats):
     """Checkpoint v3: an ``ALORA3`` line, ``key=value`` lines (the
     TrainConfig fields in order, then d_in, h1 and ``norm_stats=True``), a
-    ``crc32=`` line, a blank line, then raw little-endian blocks: the
-    (d_model, 2) channel pairs as int64, the :meth:`ModelParams.arrays` in
-    order, and the normalization mean and std.  The CRC-32 (zlib, 8 hex
-    digits) covers the header lines before it and the blocks.  The header
-    text is also written to ``<path>.manifest.txt``.  Parameters whose
-    arrays differ from ``param_layout(cfg, params.d_in)`` raise ValueError
-    before anything is written."""
-    _check_layout("saved", params, cfg, params.d_in)
+    ``crc32=`` line, a blank line, then the raw little-endian blocks of
+    :func:`_body_layout`.  The CRC-32 (zlib, 8 hex digits) covers the header
+    lines before it and the blocks.  The header text is also written to
+    ``<path>.manifest.txt``.  Content that :func:`load_checkpoint` would
+    refuse raises ValueError before anything is written."""
+    blocks = ([("pairs", params.kernels.pairs)] + params.arrays()
+              + [("mean", np.asarray(norm_stats.mean)), ("std", np.asarray(norm_stats.std))])
+    _check_body("saved", blocks, _body_layout(cfg, params.d_in), h1)
     header = {**asdict(cfg), "d_in": params.d_in, "h1": float(h1), "norm_stats": True}
     text = CHECKPOINT_MAGIC + "\n" + "".join(f"{key}={value}\n" for key, value in header.items())
-    blocks = [a for _, a in params.arrays()] + [norm_stats.mean, norm_stats.std]
-    body = b"".join(
-        [np.asarray(params.kernels.pairs, dtype="<i8").tobytes()]
-        + [np.asarray(block, dtype="<f8").tobytes() for block in blocks]
-    )
+    body = b"".join(np.asarray(a, "<i8" if name == "pairs" else "<f8").tobytes()
+                    for name, a in blocks)
     text += f"crc32={zlib.crc32(body, zlib.crc32(text.encode('ascii'))):08x}\n"
     with open(path, "wb") as fh:
         fh.write(text.encode("ascii") + b"\n" + body)
@@ -552,8 +569,8 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, h1: float,
 
 def load_checkpoint(path):
     """Returns (params, cfg, h1, norm_stats).  A file that is not a
-    complete v3 checkpoint with a finite h1 and normalization stats raises
-    :class:`DataError`."""
+    complete v3 checkpoint whose :func:`_body_layout` blocks pass the checks
+    of :func:`save_checkpoint` raises :class:`DataError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, sep, body = raw.partition(b"\n\n")
@@ -586,27 +603,21 @@ def load_checkpoint(path):
 
     # Views into the file first: a header that claims more data than the
     # file holds fails here, before any array is allocated.
-    offset = 0
-
-    def view(dtype, *shape):
-        nonlocal offset
-        arr = np.frombuffer(body, dtype, math.prod(shape), offset).reshape(shape)
-        offset += arr.nbytes
-        return arr
-
+    layout = _body_layout(cfg, d_in)
+    blocks, offset = [], 0
     try:
-        pairs = view("<i8", cfg.d_model, 2)
-        blocks = [view("<f8", *shape) for _, shape in param_layout(cfg, d_in)]
-        stats = view("<f8", 2, d_in)
+        for name, shape in layout:
+            a = np.frombuffer(body, "<i8" if name == "pairs" else "<f8", math.prod(shape), offset)
+            blocks.append((name, a.reshape(shape)))
+            offset += a.nbytes
     except ValueError:
         raise DataError(f"{path}: truncated checkpoint") from None
     if offset != len(body):
         raise DataError(f"{path}: {len(body) - offset} trailing bytes")
 
     try:
-        params = ModelParams.from_arrays(
-            d_in, pairs.astype(np.int64), [b.astype(np.float64) for b in blocks]
-        )
+        _check_body("checkpoint", blocks, layout, h1)
+        params = ModelParams.from_arrays(d_in, blocks[0][1], [a for _, a in blocks[1:-2]])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return params, cfg, h1, NormStats(*stats.astype(np.float64))
+    return params, cfg, h1, NormStats(blocks[-2][1], blocks[-1][1])

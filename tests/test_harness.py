@@ -151,14 +151,16 @@ class TestScoreCommand:
 
     def test_checkpoint_without_h1(self, workspace, capsys):
         """A checkpoint whose h1 is nan, as an uncalibrated one was once
-        written, is a data error that leaves no output directory."""
+        written, is a data error that leaves no output directory.  The
+        trained file's h1 line is edited with the CRC recomputed, since
+        save_checkpoint refuses a nan h1."""
         tmp_path, cfg = workspace
         assert main(["train", "--config", str(cfg)]) == 0
-        from alorat import model as model_mod
-
-        params, tc, _, stats = model_mod.load_checkpoint(tmp_path / "run" / "model.alora")
+        raw = (tmp_path / "run" / "model.alora").read_bytes()
+        head, _, body = raw.partition(b"\n\n")
+        covered = re.sub(rb"\nh1=[^\n]*\n", b"\nh1=nan\n", head.rpartition(b"\n")[0] + b"\n")
         bare = tmp_path / "bare.alora"
-        model_mod.save_checkpoint(bare, params, tc, float("nan"), stats)
+        bare.write_bytes(covered + b"crc32=%08x\n\n" % zlib.crc32(body, zlib.crc32(covered)) + body)
         cfg2 = tmp_path / "noh1.ini"
         write_config(
             cfg2,
@@ -338,6 +340,45 @@ class TestScoringOverflow:
         checkpoint, values = normal_checkpoint
         err = self._run("score", checkpoint, values * 10**153.2, tmp_path, capsys)
         assert err == "numeric failure: non-finite score at timestep 73\n"
+
+
+class TestCheckpointContent:
+    """A checkpoint with a valid CRC whose content cannot be a trained
+    model is one data error line naming what is wrong, and leaves no out."""
+
+    @staticmethod
+    def _craft(checkpoint, path, case):
+        """A copy of ``checkpoint`` with one value edited, CRC recomputed."""
+        head, _, body = checkpoint.read_bytes().partition(b"\n\n")
+        covered = head.rpartition(b"\n")[0] + b"\n"
+        values = np.frombuffer(body, "<f8").copy()
+        if case == "h1":
+            covered = re.sub(rb"\nh1=[^\n]*\n", b"\nh1=-1.0\n", covered)
+        else:  # the body ends with w_out, then the mean and std of 3 series
+            values[{"std": -3, "w_out": -7}[case]] = {"std": -1.0, "w_out": np.nan}[case]
+        body = values.tobytes()
+        path.write_bytes(covered + b"crc32=%08x\n\n" % zlib.crc32(body, zlib.crc32(covered))
+                         + body)
+
+    @pytest.mark.parametrize("case, message", [
+        ("std", "checkpoint array 'std' holds a negative value"),
+        ("h1", "h1=-1.0 is not a finite value >= 0"),
+        ("w_out", "checkpoint array 'w_out' holds a non-finite value"),
+    ], ids=["std-negative", "h1-negative", "w_out-nan"])
+    @pytest.mark.parametrize("command", ["score", "localize"])
+    def test_exits_3_with_one_line(self, normal_checkpoint, tmp_path, capsys, command,
+                                   case, message):
+        checkpoint, values = normal_checkpoint
+        crafted = tmp_path / "crafted.alora"
+        self._craft(checkpoint, crafted, case)
+        data.save_csv(data.TimeSeriesFrame(values=values, names=("a", "b", "c")),
+                      tmp_path / "data.csv")
+        write_config(tmp_path / "run.ini", {command: {
+            "checkpoint": crafted, "data": tmp_path / "data.csv", "out": tmp_path / "out"}})
+        capsys.readouterr()
+        assert main([command, "--config", str(tmp_path / "run.ini")]) == 3
+        assert capsys.readouterr().err == f"data error: {crafted}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckpointDecoding:

@@ -564,6 +564,24 @@ class TestTrain:
         with pytest.raises(ValueError, match=re.escape(f"init array {first}")):
             model.train(frame, tiny_cfg(d_model=8, layers=2), init=init)
 
+    @pytest.mark.parametrize("group", ["kernels", "w_v", "w_out"])
+    def test_warm_start_with_non_finite_array_is_rejected(self, monkeypatch, group):
+        """An init holding a nan raises before any step, naming the group:
+        trained as it is, it would be saved as a checkpoint that does not
+        load."""
+        frame = TimeSeriesFrame(values=np.random.default_rng(24).normal(size=(60, 3)),
+                                names=("a", "b", "c"))
+        init, _ = model.init_params(frame, tiny_cfg(), np.random.default_rng(3))
+        dict(init.arrays())[group].flat[-1] = np.nan
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(model, "_objective", no_step)
+        with pytest.raises(ValueError, match=re.escape(
+                f"init array '{group}' holds a non-finite value")):
+            model.train(frame, tiny_cfg(), init=init)
+
 
 class TestObjective:
     """The training objective and its reverse pass against :func:`total_loss`."""
@@ -798,3 +816,79 @@ class TestCheckpoint:
         path.write_bytes(b"NOTANALORA" * 20)
         with pytest.raises(ValueError):
             model.load_checkpoint(path)
+
+
+class TestCheckpointRefusals:
+    """One table of what a checkpoint may not hold, refused at both ends:
+    save_checkpoint raises ValueError before writing either file, and the
+    same content written as raw bytes, CRC recomputed, fails to load as a
+    DataError.  Each case edits a valid 3-series model."""
+
+    @staticmethod
+    def _content(edit):
+        """The parameters, h1 and stats of a valid model with ``edit``
+        applied: ``h1``, ``mean`` and ``std`` replace their value, and
+        ``kernels`` or ``w_out`` sets that array's first entry."""
+        params = random_params(tiny_cfg(), 3, seed=26)
+        for name, a in params.arrays():
+            if name in edit:
+                a.flat[0] = edit[name]
+        stats = data.NormStats(mean=np.asarray(edit.get("mean", np.zeros(3)), dtype=float),
+                               std=np.asarray(edit.get("std", np.ones(3)), dtype=float))
+        return params, edit.get("h1", 0.5), stats
+
+    @staticmethod
+    def _write_raw(path, params, h1, stats):
+        """The v3 bytes of this content, written without save_checkpoint: a
+        valid file's header with its h1 line replaced, the blocks in file
+        order, and the CRC recomputed."""
+        model.save_checkpoint(path, random_params(tiny_cfg(), 3, seed=26), tiny_cfg(), 0.5,
+                              unit_stats(3))
+        head = path.read_bytes().partition(b"\n\n")[0]
+        covered = head.rpartition(b"\n")[0].replace(b"\nh1=0.5", b"\nh1=%r" % float(h1)) + b"\n"
+        body = b"".join([params.kernels.pairs.astype("<i8").tobytes()]
+                        + [a.astype("<f8").tobytes() for _, a in params.arrays()]
+                        + [stats.mean.astype("<f8").tobytes(), stats.std.astype("<f8").tobytes()])
+        crc = b"crc32=%08x" % zlib.crc32(body, zlib.crc32(covered))
+        path.write_bytes(covered + crc + b"\n\n" + body)
+
+    @pytest.mark.parametrize("edit, saved, loaded", [
+        (dict(mean=np.zeros(4), std=np.ones(4)),
+         "saved array ('mean', (4,)) differs from the config's ('mean', (3,))",
+         "16 trailing bytes"),
+        (dict(h1=np.nan), "h1=nan is not a finite value >= 0",
+         "header has d_in=3, h1=nan, norm_stats=True"),
+        (dict(h1=-1.0), "h1=-1.0 is not a finite value >= 0",
+         "h1=-1.0 is not a finite value >= 0"),
+        (dict(std=[1.0, -1.0, 1.0]), "saved array 'std' holds a negative value",
+         "checkpoint array 'std' holds a negative value"),
+        (dict(std=[1.0, np.nan, 1.0]), "saved array 'std' holds a non-finite value",
+         "checkpoint array 'std' holds a non-finite value"),
+        (dict(mean=[0.0, np.inf, 0.0]), "saved array 'mean' holds a non-finite value",
+         "checkpoint array 'mean' holds a non-finite value"),
+        (dict(w_out=np.nan), "saved array 'w_out' holds a non-finite value",
+         "checkpoint array 'w_out' holds a non-finite value"),
+        (dict(kernels=np.nan), "saved array 'kernels' holds a non-finite value",
+         "checkpoint array 'kernels' holds a non-finite value"),
+    ], ids=["four-stats", "h1-nan", "h1-negative", "std-negative", "std-nan", "mean-inf",
+            "w_out-nan", "kernels-nan"])
+    def test_refused_at_both_ends(self, tmp_path, edit, saved, loaded):
+        params, h1, stats = self._content(edit)
+        path = tmp_path / "m.alora"
+        with pytest.raises(ValueError, match=f"^{re.escape(saved)}$"):
+            model.save_checkpoint(path, params, tiny_cfg(), h1, stats)
+        assert not path.exists()
+        assert not (tmp_path / "m.alora.manifest.txt").exists()
+
+        raw = tmp_path / "raw.alora"
+        self._write_raw(raw, params, h1, stats)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{raw}: {loaded}')}$"):
+            model.load_checkpoint(raw)
+
+    def test_unedited_content_loads(self, tmp_path):
+        """The raw writer above writes what save_checkpoint writes."""
+        params, h1, stats = self._content({})
+        self._write_raw(tmp_path / "raw.alora", params, h1, stats)
+        model.save_checkpoint(tmp_path / "m.alora", params, tiny_cfg(), h1, stats)
+        assert (tmp_path / "raw.alora").read_bytes() == (tmp_path / "m.alora").read_bytes()
+        model.load_checkpoint(tmp_path / "raw.alora")
