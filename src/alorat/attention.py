@@ -111,9 +111,13 @@ def forward_t(
 
     Queries, keys and values come from one (B*T, d_model) @ (d_model,
     3*d_model) product with the 1/sqrt(d_model) scale folded into the query
-    columns.  The backward is written out: with P a head's attention, dP
-    its incoming gradient (value path plus the share of s_avg's), the
-    logits get P * (dP - rowsum(dP * P)).
+    columns; the backward runs that product again rather than keep it.  Q·Kᵀ
+    is written into a key-major (Tk, H, B, Tq) buffer, the layout that
+    :func:`alorat.linalg.softmax_last` reduces over, so the mask is added
+    and the softmax taken in that buffer, with no copy; the attention
+    returned is views of it.  The backward is written out: with P a head's
+    attention, dP its incoming gradient (value path plus the share of
+    s_avg's), the logits get P * (dP - rowsum(dP * P)).
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -126,10 +130,14 @@ def forward_t(
     scale = 1.0 / np.sqrt(d_model)
     w_qkv = np.concatenate([w_q * scale, w_k, w_v]).transpose(1, 0, 2)
     w_qkv = w_qkv.reshape(d_model, 3 * d_model)
-    # Head-major (H, B, T, dh) views: the head mean then adds whole slabs.
-    qkv = (z2 @ w_qkv).reshape(b, t_len, 3, heads, dh).transpose(2, 3, 0, 1, 4)
-    q, k, v = qkv
-    logits = q @ np.swapaxes(k, -1, -2)
+
+    def split_qkv():
+        """Head-major (H, B, T, dh) views: the head mean then adds whole slabs."""
+        return (z2 @ w_qkv).reshape(b, t_len, 3, heads, dh).transpose(2, 3, 0, 1, 4)
+
+    q, k, v = split_qkv()
+    logits = np.moveaxis(np.empty((t_len, heads, b, t_len)), 0, -1)  # key-major
+    np.matmul(q, np.swapaxes(k, -1, -2), out=logits)
     if mask is not None:
         logits += mask
     p = linalg.softmax_last(logits)
@@ -141,6 +149,7 @@ def forward_t(
     out, th = gelu_parts(pre) if activation == "gelu" else (pre, None)
 
     def backward(d_next, d_s):
+        q, k, v = split_qkv()  # one GEMM again rather than kept alive
         g = d_next.reshape(-1, d_model)
         if th is not None:
             g = g * gelu_slope(pre, th)
@@ -149,7 +158,7 @@ def forward_t(
         d_qkv = np.empty((b, t_len, 3, heads, dh))
         d_q, d_k, d_v = d_qkv.transpose(2, 3, 0, 1, 4)
         np.matmul(np.swapaxes(p, -1, -2), d_o, out=d_v)
-        # Softmax backward on the key-major (Tk, H, B, Tq) layout.
+        # Softmax backward on the key-major buffer the forward wrote.
         p_km = np.moveaxis(p, -1, 0)
         d_p = np.empty(p_km.shape)
         np.matmul(v, np.swapaxes(d_o, -1, -2), out=np.moveaxis(d_p, 0, -2))

@@ -147,9 +147,10 @@ def pair_conv(x: np.ndarray, weights: np.ndarray, pairs: np.ndarray):
     out = full[:, 0:t_len, 0].copy()
     for lag in range(1, m):
         out += full[:, lag : lag + t_len, lag]
+    full_shape = full.shape  # the backward needs no more of it
 
     def backward(grad):
-        d_full = np.zeros(full.shape)
+        d_full = np.zeros(full_shape)
         for lag in range(m):
             d_full[:, lag : lag + t_len, lag] = grad.reshape(-1, t_len, d_model)
         d_mix = (xp.T @ d_full.reshape(xp.shape[0], -1)).reshape(mix.shape)

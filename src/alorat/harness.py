@@ -178,6 +178,11 @@ def cmd_train(resolved: dict) -> int:
     fields = [f.name for f in dataclasses.fields(model_mod.EpochStats)]
     data_mod.write_table(out / "loss_history.csv", fields,
                          [[getattr(row, f) for row in result.history] for f in fields])
+    metrics_mod.write_report(out / "train_report.txt", {
+        "epochs_run": len(result.history), "best_epoch": result.best_epoch,
+        "stop_reason": result.stop_reason, "h1": result.thresholds.h1,
+        "h1_window": result.h1_window, "h1_sigma": result.h1_sigma,
+    })
     print(f"trained {cfg.layers} layer(s) for {len(result.history)} epoch(s); "
           f"h1={result.thresholds.h1!r}")
     print(f"checkpoint: {out / 'model.alora'}")

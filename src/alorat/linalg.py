@@ -120,10 +120,13 @@ def softmax_last(a: np.ndarray) -> np.ndarray:
     to exact zeros, and a row of all -inf (which only overflowed logits
     give: :func:`causal_mask` keeps the diagonal) comes back nan.
 
-    The work runs on one contiguous copy with the reduced axis moved to the
-    front, where max, sum and scaling act on whole slabs, not short rows;
-    the result is a view of that copy in the input's orientation."""
-    e = np.moveaxis(a, -1, 0).copy()
+    The work runs on a key-major array, the reduced axis moved to the front
+    and C-contiguous, where max, sum and scaling act on whole slabs, not
+    short rows; the result is a view of it in the input's orientation.  An
+    input that is already key-major (``np.moveaxis(a, -1, 0)`` C-contiguous,
+    as :func:`alorat.attention.forward_t` writes its logits) is softmaxed in
+    place and overwritten; any other input is copied and left unchanged."""
+    e = np.ascontiguousarray(np.moveaxis(a, -1, 0))
     e -= np.max(e, axis=0)
     np.exp(e, out=e)
     e *= 1.0 / np.sum(e, axis=0)

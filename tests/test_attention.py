@@ -144,6 +144,32 @@ class TestLayerForward:
             layer_forward(z, params, activation="relu")
 
 
+class TestKeyMajorLogits:
+    """forward_t writes Q·Kᵀ key-major and softmaxes it in place; the result
+    has the bytes of the softmax of a C-order product."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_equals_softmax_of_c_order_logits(self, masked):
+        t_len, d_model, heads = 7, 6, 3
+        params = make_params(d_model, heads, seed=31)
+        z = np.random.default_rng(32).normal(size=(5, t_len, d_model))
+        mask = linalg.causal_mask(t_len) if masked else None
+        _, s_avg, s_heads, _ = attention.forward_t(
+            z, params.w_q, params.w_k, params.w_v, params.w_proj, True, "identity", mask)
+        # forward_t's Q/K/V product: the scale folded into the query columns.
+        w_qkv = np.concatenate([params.w_q * (1.0 / np.sqrt(d_model)), params.w_k, params.w_v])
+        w_qkv = w_qkv.transpose(1, 0, 2).reshape(d_model, 3 * d_model)
+        dh = d_model // heads
+        qkv = (z.reshape(-1, d_model) @ w_qkv).reshape(5, t_len, 3, heads, dh)
+        q, k = qkv.transpose(2, 3, 0, 1, 4)[:2]
+        logits = np.ascontiguousarray(q @ np.swapaxes(k, -1, -2))
+        if masked:
+            logits += mask
+        p = linalg.softmax_last(logits)  # (H, B, T, T)
+        assert np.array_equal(s_heads, np.moveaxis(p, 0, 1))
+        assert np.array_equal(s_avg, p.mean(axis=0))
+
+
 class TestLayerLoss:
     def test_uniform_attention_rank_one(self):
         s = np.full((6, 6), 1.0 / 6.0)

@@ -86,6 +86,21 @@ class TestTrainCommand:
         assert (out_dir / "loss_history.csv").exists()
         assert (out_dir / "resolved_config.ini").exists()
 
+    def test_train_report(self, workspace, capsys):
+        """train_report.txt says how training ended and where h1 came from."""
+        tmp_path, cfg = workspace
+        assert main(["train", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "run" / "train_report.txt").read_text().splitlines()
+        report = dict(line.split("=", 1) for line in lines)
+        assert list(report) == ["epochs_run", "best_epoch", "stop_reason", "h1",
+                                "h1_window", "h1_sigma"]
+        h1 = model_mod.load_checkpoint(tmp_path / "run" / "model.alora")[2]
+        assert float(report["h1"]) == h1
+        history = (tmp_path / "run" / "loss_history.csv").read_text().splitlines()
+        assert int(report["epochs_run"]) == len(history) - 1
+        assert report["stop_reason"] in ("patience", "max_epochs")
+        assert report["h1_sigma"] in ("4", "5")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "ghost.ini")]) == 2
 
@@ -790,7 +805,7 @@ class TestDeterminism:
             files.append({p.relative_to(chain): p.read_bytes()
                           for p in sorted(chain.rglob("*")) if p.is_file()})
             shutil.rmtree(chain)
-        assert len(files[0]) == 15
+        assert len(files[0]) == 16
         assert files[0] == files[1]
 
 

@@ -314,3 +314,32 @@ class TestSoftmaxRows:
             out = linalg.softmax_last(np.zeros((2, 2)) + mask)
         assert np.isnan(out[0]).all()
         np.testing.assert_array_equal(out[1], [0.5, 0.5])
+
+    def _copy_form(self, a):
+        """The softmax on an explicit key-major copy of ``a``."""
+        e = np.moveaxis(a, -1, 0).copy()
+        e -= np.max(e, axis=0)
+        np.exp(e, out=e)
+        e *= 1.0 / np.sum(e, axis=0)
+        return np.moveaxis(e, 0, -1)
+
+    def test_key_major_input_is_softmaxed_in_place(self):
+        """An input whose last axis is its slowest, as forward_t writes its
+        logits, comes back as a view of itself, with the copy form's bytes."""
+        rng = np.random.default_rng(11)
+        buf = rng.normal(size=(6, 3, 2, 6))  # (Tk, H, B, Tq)
+        logits = np.moveaxis(buf, 0, -1)
+        want = self._copy_form(logits)
+        out = linalg.softmax_last(logits)
+        assert np.shares_memory(out, logits)
+        assert out.shape == logits.shape and out.strides == logits.strides
+        assert out.tobytes() == want.tobytes()
+
+    def test_c_order_input_is_left_unchanged(self):
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=(3, 2, 6, 6))
+        kept = logits.copy()
+        out = linalg.softmax_last(logits)
+        assert not np.shares_memory(out, logits)
+        assert logits.tobytes() == kept.tobytes()
+        assert out.tobytes() == self._copy_form(kept).tobytes()

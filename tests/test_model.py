@@ -416,6 +416,32 @@ class TestChunking:
             tracemalloc.stop()
         assert peak < 4 * model.CHUNK_BYTES
 
+    def test_training_tape_holds_only_what_the_backward_reads(self):
+        """After one training step's forward at the benchmark's score shape,
+        the bytes still alive are those the backward reads: per layer the
+        attention, merged and output arrays and the penalty gradient, then
+        pair_conv's padded input and output and the residual.  The Q/K/V
+        product is recomputed and pair_conv keeps only the shape of its
+        lag products, which would add 3 MB here."""
+        cfg = tiny_cfg(t_window=20, d_model=16, heads=4, layers=2, k_pairs=16, batch_size=128)
+        d, b, t_len, dm = 20, 128, cfg.t_window, cfg.d_model
+        params = random_params(cfg, d, seed=27)
+        values = np.random.default_rng(28).normal(size=(b + t_len - 1, d))
+        x = np.ascontiguousarray(data.windows(values, t_len))
+        model._objective(x, params, cfg)  # one-off imports and caches
+        tracemalloc.start()
+        try:
+            loss = model._objective(x, params, cfg)[0]
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.data > 0
+        layer = cfg.heads * b * t_len**2 + 2 * b * t_len * dm + b * t_len**2
+        n_used = np.unique(params.kernels.pairs).size
+        conv = b * (t_len + cfg.kernel_size - 1) * n_used + b * t_len * dm
+        tape = 8 * (cfg.layers * layer + conv + b * t_len * d)
+        assert alive < tape + (64 << 10)  # weights and other small arrays
+
 
 class TestDetect:
     """The ``score`` command is the one place that turns anomaly scores into
@@ -530,6 +556,27 @@ class TestTrain:
         assert len(val) == 3 and np.argmin(val) < 2
         win = data.windows(values, cfg.t_window)
         assert model._mean_loss(win[-max(1, win.shape[0] // 10):], result.params, cfg) == min(val)
+
+    def test_max_epochs_stop_reports_its_best_epoch_and_h1_source(self):
+        values = np.random.default_rng(0).normal(size=(80, 3))
+        frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
+        cfg = tiny_cfg(max_epochs=3, patience=3, learning_rate=0.3)
+        result = model.train(frame, cfg)
+        assert result.stop_reason == "max_epochs" and len(result.history) == 3
+        assert result.best_epoch == np.argmin([e.val_total for e in result.history])
+        win = data.windows(values, cfg.t_window)
+        sigma = linalg.spectrum(model.batch_forward(win, result.params, cfg)[1][-1])
+        assert result.h1_sigma in (4, 5)
+        assert sigma[result.h1_window, result.h1_sigma - 1] == result.thresholds.h1
+
+    def test_patience_stop(self):
+        values = np.random.default_rng(0).normal(size=(80, 3))
+        frame = TimeSeriesFrame(values=values, names=("a", "b", "c"))
+        cfg = tiny_cfg(max_epochs=10, patience=0, learning_rate=0.3)
+        result = model.train(frame, cfg)
+        val = [e.val_total for e in result.history]
+        assert result.stop_reason == "patience" and len(val) < cfg.max_epochs
+        assert result.best_epoch == len(val) - 2 == np.argmin(val)
 
     def test_partial_freeze(self):
         rng = np.random.default_rng(23)
